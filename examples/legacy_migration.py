@@ -2,87 +2,55 @@
 """Migrating a legacy monolith onto UDC (paper §4, "Supporting legacy
 software").
 
-A synthetic monolith — a weighted function-dependency graph with three
-natural subsystems (ingest, scoring, reporting) — is cut into UDC modules
-by the static partitioner, guided by one developer hint.  The resulting
-segments become task modules, the dry-run profiler infers a resource
-aspect for each, and the migrated application runs on UDC.
+``examples/legacy/sensor_rollup.py`` is an un-modularized IoT script:
+global stores, plain functions, and a few ``udc:`` hints in docstrings.
+The whole-program analyzer reads its source (never executing it), cuts
+it into task and data modules, and emits a definition that passes
+``udc lint`` with zero findings.  The script itself then supplies the
+function bodies, and the migrated application runs on UDC.
 
 Run:  python examples/legacy_migration.py
 """
 
-import networkx as nx
+from pathlib import Path
 
-from repro import AppBuilder, DeviceType, UDCRuntime, build_datacenter
-from repro.appmodel.legacy import partition_program, random_partition
-from repro.appmodel.module import TaskModule
-from repro.core.profiler import DryRunProfiler
+from repro import UDCRuntime, build_datacenter
+from repro.analysis.program import attach_functions, input_payload, modularize
 from repro.hardware.topology import DatacenterSpec
 
-
-def build_monolith() -> nx.Graph:
-    """Call graph of the legacy app: dense inside subsystems, thin across."""
-    graph = nx.Graph()
-    subsystems = {
-        "ingest": ["parse", "validate", "dedup", "normalize"],
-        "scoring": ["featurize", "model", "rank", "calibrate"],
-        "reporting": ["aggregate", "render", "export", "notify"],
-    }
-    for functions in subsystems.values():
-        for i, u in enumerate(functions):
-            for v in functions[i + 1:]:
-                graph.add_edge(u, v, weight=8.0)
-    graph.add_edge("normalize", "featurize", weight=1.0)   # thin seams
-    graph.add_edge("calibrate", "aggregate", weight=1.0)
-    return graph
+SOURCE = Path(__file__).resolve().parent / "legacy" / "sensor_rollup.py"
 
 
 def main():
-    monolith = build_monolith()
+    source = SOURCE.read_text(encoding="utf-8")
+    result = modularize(source, name="sensor_rollup")
+    print(f"cutting {SOURCE.name} into UDC modules:")
+    for group in result.cut.groups:
+        print(f"  {group.kind:<4} {group.name}: {list(group.members)}")
+    print(f"cross-module traffic: {result.cut.cross_bytes:,} B "
+          f"({result.cut.internal_bytes:,} B kept inside modules)")
 
-    # The developer hints that model+featurize share hot state.
-    hints = [{"model", "featurize"}]
-    report = partition_program(monolith, 3, developer_hints=hints)
-    baseline = random_partition(monolith, 3, seed=0)
-    print("partitioning the monolith into 3 UDC modules:")
-    for index, segment in enumerate(report.segments):
-        print(f"  segment {index}: {sorted(segment)}")
-    print(f"cross-segment dependency weight: "
-          f"{report.cut_fraction:.1%} (random baseline: "
-          f"{baseline.cut_fraction:.1%})")
-    assert report.cut_fraction < baseline.cut_fraction
+    # The analyzer never runs the legacy code; the migration does, to
+    # hand each emitted task module the functions it is made of.  The
+    # script's __main__ guard keeps its own demo from firing.
+    namespace = {"__name__": "sensor_rollup_legacy"}
+    exec(compile(source, str(SOURCE), "exec"), namespace)
+    app = attach_functions(result.model, result.cut, result.emitted,
+                           namespace)
+    batch = [{"sensor": "s-1", "value": 3.5},
+             {"sensor": "s-2", "value": 7.25},
+             {"sensor": "s-1", "value": 4.0}]
 
-    # Each segment becomes a task module; the profiler sizes it (§3.2).
-    profiler = DryRunProfiler()
-    app = AppBuilder("migrated-monolith")
-    definition = {}
-    previous = None
-    for index, segment in enumerate(report.segments):
-        name = f"segment{index}"
-        module = TaskModule(
-            name=name,
-            work=4.0 * len(segment),
-            device_candidates=frozenset({DeviceType.CPU, DeviceType.GPU}),
-            max_parallelism=2,
-        )
-        app.add_task(module)
-        aspect = profiler.recommend(module, latency_target_s=30.0)
-        definition[name] = {
-            "resource": {"device": aspect.device.value,
-                         "amount": aspect.amount},
-        }
-        print(f"  {name}: profiler recommends {aspect.amount:g} x "
-              f"{aspect.device.value}")
-        if previous:
-            app.flows(previous, name, bytes_=1 << 20)
-        previous = name
-
-    result = UDCRuntime(
-        build_datacenter(DatacenterSpec(pods=1, racks_per_pod=4))
-    ).run(app.build(), definition, tenant="migrator")
-    print(f"\nmigrated app ran in {result.makespan_s:.2f}s for "
-          f"${result.total_cost:.6f}")
-    assert result.total_failures == 0
+    runtime = UDCRuntime(build_datacenter(DatacenterSpec(pods=1,
+                                                         racks_per_pod=4)))
+    run = runtime.run(app, result.emitted.definition, tenant="migrator",
+                      inputs=input_payload(result.model, result.emitted,
+                                           batch=batch))
+    print(f"\nmigrated app ran in {run.makespan_s:.2f}s for "
+          f"${run.total_cost:.6f}")
+    for module, output in sorted(run.outputs.items()):
+        print(f"  {module}: {output}")
+    assert run.total_failures == 0
     print("legacy migration OK")
 
 

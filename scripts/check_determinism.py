@@ -58,6 +58,8 @@ TARGETS = [
     SRC / "gateway",
     SRC / "economics",
     SRC / "analysis",
+    # task stages and validation messages (returned in gateway 400s)
+    SRC / "appmodel" / "dag.py",
 ]
 
 SUPPRESS_MARK = "# det: ok"

@@ -83,7 +83,7 @@ from repro.service import (
 )
 from repro.simulator import Simulator
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisError",

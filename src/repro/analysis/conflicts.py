@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import networkx as nx
-
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.appmodel.dag import ModuleDAG
+from repro.appmodel.dag import ModuleDAG, topological_stages
 from repro.appmodel.module import TaskModule
 from repro.core.aspects import AspectBundle, ResourceGoal
 from repro.core.spec import UserDefinition
@@ -92,19 +90,15 @@ def _critical_path_lower_bounds(app: ModuleDAG, definition: UserDefinition,
     """Per task: optimistic seconds from the app's start through it."""
     graph = app.effective_task_graph()
     lower = {}
-    if not nx.is_directed_acyclic_graph(graph):
-        # Task cycles are the structural pass's UDC030; no lower bound
-        # is derivable here.
-        return lower
-    for name in nx.topological_sort(graph):
-        task = app.task(name)
-        own = _min_exec_seconds(task, definition.bundle_for(name),
-                                datacenter_spec)
-        upstream = max(
-            (lower[p] for p in sorted(graph.predecessors(name))),
-            default=0.0,
-        )
-        lower[name] = upstream + own
+    # A task cycle (the structural pass's UDC030) has no stages, and no
+    # lower bound is derivable.
+    for stage in topological_stages(graph) or []:
+        for name in stage:
+            own = _min_exec_seconds(app.task(name),
+                                    definition.bundle_for(name),
+                                    datacenter_spec)
+            upstream = max((lower[p] for p in graph[name]), default=0.0)
+            lower[name] = upstream + own
     return lower
 
 

@@ -11,12 +11,10 @@ built through :class:`AppBuilder`.
 
 from __future__ import annotations
 
-from typing import List
-
-import networkx as nx
+from typing import Dict, List, Set
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.appmodel.dag import ModuleDAG
+from repro.appmodel.dag import ModuleDAG, simple_cycles
 from repro.appmodel.module import DataModule, TaskModule
 
 __all__ = ["structure_pass"]
@@ -57,17 +55,16 @@ def structure_pass(app: ModuleDAG) -> List[Diagnostic]:
     # legal (A4 writes S1, A3 reads S1 models successive runs), so only
     # direct task->task edges enter the cycle graph — the same rule
     # ModuleDAG.validate enforces.
-    task_graph = nx.DiGraph()
-    for module in app.modules.values():
-        if isinstance(module, TaskModule):
-            task_graph.add_node(module.name)
+    task_graph: Dict[str, Set[str]] = {
+        module.name: set() for module in app.modules.values()
+        if isinstance(module, TaskModule)
+    }
     for edge in known_edges:
         if edge.src != edge.dst \
-                and isinstance(app.modules[edge.src], TaskModule) \
-                and isinstance(app.modules[edge.dst], TaskModule):
-            task_graph.add_edge(edge.src, edge.dst)
+                and edge.src in task_graph and edge.dst in task_graph:
+            task_graph[edge.dst].add(edge.src)
     cycles = sorted(
-        (sorted(c) for c in nx.simple_cycles(task_graph)),
+        (sorted(c) for c in simple_cycles(task_graph)),
         key=lambda c: (len(c), c),
     )
     for cycle in cycles:

@@ -16,16 +16,16 @@ that explicit messages beat shared memory on disaggregated hardware).
   per-actor mailboxes and no shared state;
 * :mod:`~repro.appmodel.ir` — the uniform intermediate representation
   ("high-level modules and their relationships, not low-level code
-  instructions") that language frontends compile to;
-* :mod:`~repro.appmodel.legacy` — semi-automated partitioning of legacy
-  programs into module DAGs by minimizing cross-segment dependencies (§4).
+  instructions") that language frontends compile to.
+
+Legacy programs reach a module DAG through the whole-program analyzer,
+:func:`repro.analysis.program.modularize` (§4).
 """
 
 from repro.appmodel.actor import Actor, ActorRef, ActorSystem
 from repro.appmodel.annotations import AppBuilder, data, task
 from repro.appmodel.dag import DagValidationError, ModuleDAG
 from repro.appmodel.ir import IRModule, IRProgram, compile_dag
-from repro.appmodel.legacy import PartitionReport, partition_program
 from repro.appmodel.loader import load_program, load_program_file
 from repro.appmodel.module import DataModule, ModuleKind, TaskModule
 
@@ -40,12 +40,10 @@ __all__ = [
     "IRProgram",
     "ModuleDAG",
     "ModuleKind",
-    "PartitionReport",
     "TaskModule",
     "compile_dag",
     "load_program",
     "load_program_file",
     "data",
-    "partition_program",
     "task",
 ]

@@ -12,24 +12,143 @@ Validation catches the mistakes a user-facing control plane must reject:
 cycles, dangling edge endpoints, co-location groups spanning incompatible
 device candidates, and task→task edges declared through a data module that
 neither endpoint touches.
+
+Graph views are plain dicts, ``node -> sorted upstream nodes``;
+:func:`topological_stages` and :func:`simple_cycles` walk them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
-
-import networkx as nx
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.appmodel.module import DataModule, TaskModule
 
-__all__ = ["DagValidationError", "Edge", "ModuleDAG"]
+__all__ = ["DagValidationError", "Edge", "ModuleDAG", "simple_cycles",
+           "topological_stages"]
 
 Module = Union[TaskModule, DataModule]
+
+#: a directed graph as ``node -> upstream nodes``; every node is a key
+Preds = Mapping[str, Iterable[str]]
 
 
 class DagValidationError(Exception):
     """Raised when an application DAG is structurally invalid."""
+
+
+def _successors(preds: Preds) -> Dict[str, List[str]]:
+    """``node -> downstream nodes``, each list sorted."""
+    succs: Dict[str, List[str]] = {node: [] for node in preds}
+    for node in sorted(preds):
+        for up in preds[node]:
+            succs[up].append(node)
+    return succs
+
+
+def topological_stages(preds: Preds) -> Optional[List[List[str]]]:
+    """Kahn generations of ``preds``, each stage sorted; ``None`` when
+    the graph has a cycle."""
+    succs = _successors(preds)
+    waiting = dict.fromkeys(succs, 0)
+    for downs in succs.values():
+        for down in downs:
+            waiting[down] += 1
+    stage = sorted(node for node, count in waiting.items() if count == 0)
+    stages: List[List[str]] = []
+    while stage:
+        stages.append(stage)
+        ready = []
+        for node in stage:
+            for down in succs[node]:
+                waiting[down] -= 1
+                if waiting[down] == 0:
+                    ready.append(down)
+        stage = sorted(ready)
+    if sum(map(len, stages)) != len(waiting):
+        return None
+    return stages
+
+
+def _hops_back(preds: Preds, target: str) -> Dict[str, int]:
+    """Fewest hops from each node to ``target`` moving only through
+    names above ``target`` (``target`` itself maps to 0)."""
+    hops = {target: 0}
+    frontier = [target]
+    while frontier:
+        ahead = []
+        for node in frontier:
+            for up in preds[node]:
+                if up > target and up not in hops:
+                    hops[up] = hops[node] + 1
+                    ahead.append(up)
+        frontier = ahead
+    return hops
+
+
+def simple_cycles(preds: Preds) -> List[List[str]]:
+    """Every elementary cycle of ``preds``, rotated to start at its
+    smallest name, sorted by (length, nodes).  Self-loops count as
+    cycles of length one."""
+    succs = _successors(preds)
+    cycles: List[List[str]] = []
+    for start in sorted(preds):
+        # A cycle rotated to ``start`` visits only larger names, and only
+        # nodes that can still get back to ``start`` are worth a step.
+        back = _hops_back(preds, start)
+        path, on_path = [start], {start}
+        stack = [iter(succs[start])]
+        while stack:
+            for node in stack[-1]:
+                if node == start:
+                    cycles.append(list(path))
+                elif node in back and node not in on_path:
+                    path.append(node)
+                    on_path.add(node)
+                    stack.append(iter(succs[node]))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+    cycles.sort(key=lambda cycle: (len(cycle), cycle))
+    return cycles
+
+
+def _first_cycle(preds: Preds) -> Optional[List[str]]:
+    """``simple_cycles(preds)[0]`` (or ``None``) without enumerating
+    every cycle, which can take exponential time on untrusted input.
+
+    That cycle is a shortest one with the smallest start, so no node
+    repeats on it: a greedy walk along exact hop counts finds it.
+    """
+    succs = _successors(preds)
+    best: Optional[Tuple[int, str, Dict[str, int]]] = None
+    for start in sorted(preds):
+        back = _hops_back(preds, start)
+        length = min((back[node] + 1 for node in succs[start] if node in back),
+                     default=None)
+        if length and (best is None or length < best[0]):
+            best = (length, start, back)
+    if best is None:
+        return None
+    length, start, back = best
+    cycle = [start]
+    while len(cycle) < length:
+        left = length - len(cycle)
+        cycle.append(min(node for node in succs[cycle[-1]]
+                         if node != start and back.get(node) == left))
+    return cycle
+
+
+def _ancestors(preds: Preds, node: str) -> Set[str]:
+    seen: Set[str] = set()
+    frontier = [node]
+    while frontier:
+        for up in preds[frontier.pop()]:
+            if up not in seen:
+                seen.add(up)
+                frontier.append(up)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -116,7 +235,12 @@ class ModuleDAG:
 
     # -- graph views ------------------------------------------------------------
 
-    def to_networkx(self) -> nx.DiGraph:
+    def to_networkx(self):
+        """The whole module graph as a ``networkx.DiGraph`` (nodes carry
+        ``kind``, edges ``bytes``).  Needs networkx installed; nothing in
+        the package calls it."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for module_name, module in self.modules.items():
             graph.add_node(module_name, kind=module.kind.value)
@@ -124,8 +248,9 @@ class ModuleDAG:
             graph.add_edge(edge.src, edge.dst, bytes=edge.bytes_transferred)
         return graph
 
-    def effective_task_graph(self) -> nx.DiGraph:
-        """Dependencies between *task* modules only.
+    def effective_task_graph(self) -> Dict[str, List[str]]:
+        """Dependencies between *task* modules only: task → sorted
+        upstream tasks, every task a key (in sorted order).
 
         Two kinds of edges:
 
@@ -139,39 +264,27 @@ class ModuleDAG:
         Induced edges are considered in sorted order so the result is
         deterministic.
         """
-        graph = self.to_networkx()
         task_names = {t.name for t in self.tasks}
-        task_graph = nx.DiGraph()
-        task_graph.add_nodes_from(sorted(task_names))
+        preds: Dict[str, Set[str]] = {name: set() for name in sorted(task_names)}
         for edge in self.edges:
             if edge.src in task_names and edge.dst in task_names:
-                task_graph.add_edge(edge.src, edge.dst)
+                preds[edge.dst].add(edge.src)
 
-        induced = []
-        for data_name in sorted(
-            m.name for m in self.modules.values() if isinstance(m, DataModule)
-        ):
-            writers = sorted(
-                e.src for e in self.edges
-                if e.dst == data_name and e.src in task_names
-            )
-            readers = sorted(
-                e.dst for e in self.edges
-                if e.src == data_name and e.dst in task_names
-            )
-            for writer in writers:
-                for reader in readers:
-                    if writer != reader:
-                        induced.append((writer, reader))
-        for writer, reader in sorted(set(induced)):
-            if task_graph.has_edge(writer, reader):
-                continue
+        induced = set()
+        for data_name in sorted(m.name for m in self.data_modules):
+            writers = [e.src for e in self.edges
+                       if e.dst == data_name and e.src in task_names]
+            readers = [e.dst for e in self.edges
+                       if e.src == data_name and e.dst in task_names]
+            induced.update((writer, reader) for writer in writers
+                           for reader in readers if writer != reader)
+        for writer, reader in sorted(induced):
             # Skip an induced edge that would close a cycle: the reader
             # already (transitively) precedes the writer.
-            if reader in nx.ancestors(task_graph, writer) | {writer}:
-                continue
-            task_graph.add_edge(writer, reader, induced=True)
-        return task_graph
+            if writer not in preds[reader] \
+                    and reader not in _ancestors(preds, writer):
+                preds[reader].add(writer)
+        return {name: sorted(ups) for name, ups in preds.items()}
 
     def task_stages(self) -> List[List[str]]:
         """Topological stages over *task* modules only.
@@ -179,9 +292,9 @@ class ModuleDAG:
         Data modules are standing state, not schedulable steps; a task's
         stage is its depth in :meth:`effective_task_graph`.
         """
-        stages: List[List[str]] = []
-        for generation in nx.topological_generations(self.effective_task_graph()):
-            stages.append(sorted(generation))
+        stages = topological_stages(self.effective_task_graph())
+        if stages is None:
+            raise DagValidationError(f"app {self.name!r} has a task cycle")
         return stages
 
     # -- validation ---------------------------------------------------------------
@@ -209,14 +322,15 @@ class ModuleDAG:
         # diagnosis to S1, which A3 read); data modules are standing
         # state, not one-shot dataflow.  Direct task→task cycles are not.
         task_names = {t.name for t in self.tasks}
-        direct = nx.DiGraph()
-        direct.add_nodes_from(task_names)
+        direct: Dict[str, Set[str]] = {name: set() for name in task_names}
         for edge in self.edges:
             if edge.src in task_names and edge.dst in task_names:
-                direct.add_edge(edge.src, edge.dst)
-        if not nx.is_directed_acyclic_graph(direct):
-            cycle = nx.find_cycle(direct)
-            raise DagValidationError(f"task graph has a cycle: {cycle}")
+                direct[edge.dst].add(edge.src)
+        cycle = _first_cycle(direct)
+        if cycle is not None:
+            raise DagValidationError(
+                f"task graph has a cycle: {' -> '.join(cycle + cycle[:1])}"
+            )
 
         for group in self.colocate_groups:
             unknown = group - set(self.modules)
@@ -225,7 +339,8 @@ class ModuleDAG:
                     f"colocate group references unknown modules {sorted(unknown)}"
                 )
             members = [self.modules[n] for n in group]
-            non_tasks = [m.name for m in members if not isinstance(m, TaskModule)]
+            non_tasks = sorted(m.name for m in members
+                               if not isinstance(m, TaskModule))
             if non_tasks:
                 raise DagValidationError(
                     f"colocate group may only contain tasks; got {non_tasks}"

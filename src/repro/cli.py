@@ -10,8 +10,6 @@ Subcommands:
   candidate hardware and print the measurements (§3.2's tooling);
 * ``udc autosize APP.json [--latency S]`` — emit a resource-aspect spec
   inferred from dry runs, ready to pass back to ``udc run --spec``;
-* ``udc partition GRAPH.json -k N`` — cut a legacy dependency graph into
-  N segments (§4's migration path);
 * ``udc catalog DEMANDS.json`` — price a demand list against the 2021
   instance catalog vs UDC exact billing (the E1 arithmetic);
 * ``udc chaos APP.json --faults FAULTS.json`` — run a program under a
@@ -222,29 +220,6 @@ def cmd_autosize(args) -> int:
     }
     json.dump(spec, sys.stdout, indent=2)
     print()
-    return 0
-
-
-def cmd_partition(args) -> int:
-    """Cut a legacy dependency graph.
-
-    ``GRAPH.json``: ``{"edges": [["caller", "callee", weight], ...],
-    "hints": [["fn1", "fn2"], ...]}``.
-    """
-    import networkx as nx
-
-    from repro.appmodel.legacy import partition_program
-
-    with open(args.graph, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    graph = nx.Graph()
-    for u, v, weight in raw["edges"]:
-        graph.add_edge(str(u), str(v), weight=float(weight))
-    hints = [set(map(str, h)) for h in raw.get("hints", [])]
-    report = partition_program(graph, args.segments, developer_hints=hints)
-    for index, segment in enumerate(report.segments):
-        print(f"segment {index}: {sorted(segment)}")
-    print(f"cross-segment weight: {report.cut_fraction:.1%}")
     return 0
 
 
@@ -995,12 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     autosize_p.add_argument("--optimize", choices=("cost", "speed"),
                             default="cost")
     autosize_p.set_defaults(handler=cmd_autosize)
-
-    partition_p = sub.add_parser("partition",
-                                 help="cut a legacy dependency graph")
-    partition_p.add_argument("graph")
-    partition_p.add_argument("-k", "--segments", type=int, required=True)
-    partition_p.set_defaults(handler=cmd_partition)
 
     catalog_p = sub.add_parser("catalog",
                                help="price demands against the 2021 catalog")

@@ -24,6 +24,7 @@ prioritize and no defined tie-break.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 __all__ = ["AdmissionPolicy", "FifoAdmission", "WeightedFairShare"]
@@ -65,8 +66,10 @@ class WeightedFairShare(AdmissionPolicy):
 
     def __init__(self, weights: Optional[Dict[str, float]] = None,
                  default_weight: float = 1.0):
-        if default_weight <= 0:
-            raise ValueError(f"weights must be positive, got {default_weight}")
+        if not 0 < default_weight < math.inf:
+            raise ValueError(
+                f"weights must be positive and finite, got {default_weight}"
+            )
         self.default_weight = default_weight
         self._weights: Dict[str, float] = {}
         self._vtime: Dict[str, float] = {}
@@ -74,9 +77,10 @@ class WeightedFairShare(AdmissionPolicy):
             self.set_weight(tenant, weight)
 
     def set_weight(self, tenant: str, weight: float) -> None:
-        if weight <= 0:
+        if not 0 < weight < math.inf:
             raise ValueError(
-                f"tenant {tenant!r}: weight must be positive, got {weight}"
+                f"tenant {tenant!r}: weight must be positive and finite, "
+                f"got {weight}"
             )
         self._weights[tenant] = weight
 

@@ -27,7 +27,6 @@ economic core), data allocations at teardown.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -76,31 +75,6 @@ TELEMETRY_CHUNK = 0.25
 class RuntimeError_(Exception):
     """Raised for unrecoverable runtime conditions (name avoids shadowing
     the builtin in ``from ... import *`` consumers)."""
-
-
-def _resolve_app_kw(method: str, app, legacy: Dict[str, Any]) -> ModuleDAG:
-    """Unify the application-DAG argument name across the public entry
-    points: ``app`` is canonical; ``dag=`` still works but warns."""
-    if "dag" in legacy:
-        warnings.warn(
-            f"UDCRuntime.{method}(dag=...) is deprecated; "
-            f"pass app=... (positional works too)",
-            DeprecationWarning, stacklevel=3,
-        )
-        old = legacy.pop("dag")
-        if app is not None:
-            raise TypeError(
-                f"{method}() got both 'app' and the deprecated 'dag'"
-            )
-        app = old
-    if legacy:
-        raise TypeError(
-            f"{method}() got unexpected keyword argument(s) "
-            f"{sorted(legacy)}"
-        )
-    if app is None:
-        raise TypeError(f"{method}() missing required argument: 'app'")
-    return app
 
 
 @dataclass
@@ -408,7 +382,7 @@ class UDCRuntime:
 
     def run(
         self,
-        app: Optional[ModuleDAG] = None,
+        app: ModuleDAG,
         definition: Union[UserDefinition, Dict, None] = None,
         tenant: str = "tenant",
         inputs: Optional[Dict[str, Any]] = None,
@@ -416,7 +390,6 @@ class UDCRuntime:
         dishonest_env: Optional[Dict[str, EnvKind]] = None,
         until: Optional[float] = None,
         attach_stores: Optional[Dict[str, ReplicatedStore]] = None,
-        **legacy,
     ) -> RunResult:
         """Admit, deploy, and execute one application to completion.
 
@@ -433,7 +406,6 @@ class UDCRuntime:
                 different (cheaper) environment than promised — used by the
                 attestation benchmark; claims still state the promise.
         """
-        app = _resolve_app_kw("run", app, legacy)
         submission = self.submit(
             app, definition, tenant=tenant, inputs=inputs,
             failure_plan=failure_plan, dishonest_env=dishonest_env,
@@ -446,7 +418,7 @@ class UDCRuntime:
 
     def submit(
         self,
-        app: Optional[ModuleDAG] = None,
+        app: ModuleDAG,
         definition: Union[UserDefinition, Dict, None] = None,
         tenant: str = "tenant",
         inputs: Optional[Dict[str, Any]] = None,
@@ -455,7 +427,6 @@ class UDCRuntime:
         attach_stores: Optional[Dict[str, ReplicatedStore]] = None,
         persistent: bool = False,
         queue_if_full: bool = False,
-        **legacy,
     ) -> Submission:
         """Admit and deploy one application without running the clock.
 
@@ -480,7 +451,6 @@ class UDCRuntime:
         """
         from repro.core.scheduler import SchedulerError
 
-        app = _resolve_app_kw("submit", app, legacy)
         submission = Submission(dag=app, tenant=tenant, inputs=inputs or {},
                                 seq=next(self._seq_counter),
                                 persistent=persistent)
@@ -714,9 +684,8 @@ class UDCRuntime:
     def submit_at(
         self,
         when: float,
-        app: Optional[ModuleDAG] = None,
+        app: ModuleDAG,
         definition: Union[UserDefinition, Dict, None] = None,
-        dag: Optional[ModuleDAG] = None,
         **kwargs,
     ) -> "DeferredSubmission":
         """Schedule a submission for simulation time ``when``.
@@ -725,8 +694,6 @@ class UDCRuntime:
         then free — the arrival-churn scenario (benchmark E17).  The
         returned handle's ``submission`` attribute fills in at ``when``.
         """
-        legacy = {"dag": dag} if dag is not None else {}
-        app = _resolve_app_kw("submit_at", app, legacy)
         deferred = DeferredSubmission(arrives_at=when)
 
         def arrive():
@@ -738,10 +705,9 @@ class UDCRuntime:
 
     def plan(
         self,
-        app: Optional[ModuleDAG] = None,
+        app: ModuleDAG,
         definition: Union[UserDefinition, Dict, None] = None,
         tenant: str = "tenant",
-        **legacy,
     ) -> List[Dict[str, Any]]:
         """Placement preview: admit and place, report, release.
 
@@ -751,7 +717,6 @@ class UDCRuntime:
         Raises the same SchedulerError/ConflictError a real submission
         would, with the offending module named.
         """
-        app = _resolve_app_kw("plan", app, legacy)
         objects, resolution = self.admit(app, definition, tenant)
         rows: List[Dict[str, Any]] = []
         try:
@@ -869,10 +834,7 @@ class UDCRuntime:
         """Upstream *tasks* this task must wait for — direct edges plus
         acyclic data-induced orderings (see
         :meth:`~repro.appmodel.dag.ModuleDAG.effective_task_graph`)."""
-        graph = dag.effective_task_graph()
-        if name not in graph:
-            return []
-        return sorted(graph.predecessors(name))
+        return dag.effective_task_graph().get(name, [])
 
     def _breaker_admits(self, device) -> bool:
         return self.breakers.allows(device.device_id, self.sim.now)

@@ -56,7 +56,7 @@ from repro.gateway.wire import (
     write_response,
 )
 from repro.service.service import SubmissionHandle, UDCService
-from repro.service.tenants import QuotaExceeded, TenantQuota
+from repro.service.tenants import QuotaExceeded, TenantQuota, TenantSpec
 from repro.workloads.cluster import ARCHETYPE_BUILDERS
 
 __all__ = ["GatewayConfig", "UDCGateway"]
@@ -66,6 +66,12 @@ def _gateway_noop(ctx):
     """Task body for the gateway's built-in tiny archetype (module-level
     so DAGs stay picklable by reference, as in the cluster workload)."""
     return None
+
+
+def _is_number(value: Any, kind=(int, float)) -> bool:
+    """A JSON number of ``kind`` (``true``/``false`` parse as ints; they
+    are not numbers here)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _tiny_app(tag: str) -> Tuple[ModuleDAG, Dict]:
@@ -453,16 +459,23 @@ class UDCGateway:
             raise _HttpError(400, {"error": "bad-request",
                                    "detail": "body must carry 'name'"})
         name = str(payload["name"])
-        weight = float(payload.get("weight", 1.0))
-        quota = None
-        if "max_in_flight" in payload or "max_submissions" in payload:
-            quota = TenantQuota(
-                max_in_flight=payload.get("max_in_flight"),
-                max_submissions=payload.get("max_submissions"),
-            )
-        tenant = self.service.register_tenant(name, weight=weight,
-                                              quota=quota)
-        self._note_weight(name, weight)
+        weight = payload.get("weight", 1.0)
+        limits = {key: payload[key] for key in ("max_in_flight",
+                                                "max_submissions")
+                  if key in payload}
+        try:
+            if not _is_number(weight) or not all(
+                    value is None or _is_number(value, int)
+                    for value in limits.values()):
+                raise ValueError("'weight' must be a number; 'max_in_flight' "
+                                 "and 'max_submissions' integers or null")
+            spec = TenantSpec(weight=float(weight),
+                              quota=TenantQuota(**limits) if limits else None)
+        except (ValueError, OverflowError) as exc:
+            raise _HttpError(400, {"error": "bad-request",
+                                   "detail": str(exc)}) from exc
+        tenant = self.service.register_tenant(name, spec)
+        self._note_weight(name, spec.weight)
         return 200, {"name": tenant.name, "weight": tenant.weight}, None, \
             "application/json"
 

@@ -40,9 +40,8 @@ Per-tenant outcomes land on an
 from __future__ import annotations
 
 import itertools
-import warnings
 from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.appmodel.dag import ModuleDAG
@@ -337,60 +336,24 @@ class UDCService:
 
     # ------------------------------------------------------------- tenants
 
-    def register_tenant(
-        self,
-        name: str,
-        spec: Union[TenantSpec, float, None] = None,
-        **legacy,
-    ) -> Tenant:
+    def register_tenant(self, name: str,
+                        spec: Optional[TenantSpec] = None) -> Tenant:
         """Register (or re-configure) a tenant from a typed spec.
 
         ``spec`` is a :class:`~repro.service.tenants.TenantSpec` (or a
         fluent ``tenant_spec()`` builder — anything with ``build_spec``),
         carrying weight, quota, budget, tier/goal, SLO, and pricing in
-        one value.  The old spellings still work, with a
-        :class:`DeprecationWarning`: a bare number in the spec position
-        is the historical positional ``weight``, and ``weight=`` /
-        ``quota=`` keywords fold into a default spec.  Unknown keywords
-        raise :class:`TypeError`.
+        one value; ``None`` registers the defaults.
         """
-        if spec is not None and not hasattr(spec, "build_spec"):
-            if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-                warnings.warn(
-                    "register_tenant(name, weight) is deprecated; pass a "
-                    "TenantSpec (e.g. tenant_spec().weight(...))",
-                    DeprecationWarning, stacklevel=2,
-                )
-                spec = TenantSpec(weight=float(spec))
-            else:
-                raise TypeError(
-                    f"spec must be a TenantSpec (or builder), "
-                    f"got {type(spec).__name__}"
-                )
-        folded: Dict[str, Any] = {}
-        for key in ("weight", "quota"):
-            if key in legacy:
-                warnings.warn(
-                    f"register_tenant({key}=...) is deprecated; declare it "
-                    f"on a TenantSpec",
-                    DeprecationWarning, stacklevel=2,
-                )
-                folded[key] = legacy.pop(key)
-        if legacy:
-            raise TypeError(
-                f"register_tenant() got unexpected keyword argument(s) "
-                f"{sorted(legacy)}"
-            )
         if spec is None:
-            spec = TenantSpec(weight=float(folded.get("weight", 1.0)),
-                              quota=folded.get("quota"))
-        else:
+            spec = TenantSpec()
+        elif hasattr(spec, "build_spec"):
             spec = spec.build_spec()
-            if folded:
-                raise TypeError(
-                    "pass either a TenantSpec or the deprecated "
-                    "weight=/quota= keywords, not both"
-                )
+        else:
+            raise TypeError(
+                f"spec must be a TenantSpec (or builder), "
+                f"got {type(spec).__name__}"
+            )
         tenant = Tenant(name=name, weight=spec.weight, quota=spec.quota)
         existing = self.tenants.get(name)
         if existing is not None:
@@ -456,7 +419,6 @@ class UDCService:
         definition=None,
         inputs: Optional[Dict[str, Any]] = None,
         options: Optional[SubmitOptions] = None,
-        **legacy,
     ) -> SubmissionHandle:
         """Accept one submission; raises
         :class:`~repro.service.tenants.QuotaExceeded` over quota and
@@ -466,10 +428,7 @@ class UDCService:
         ``options`` is a :class:`~repro.service.tenants.SubmitOptions`
         (or a fluent ``submit_options()`` builder — anything with
         ``build_options``): lint override, dispatch priority, deadline,
-        cache opt-out.  The loose spellings (``lint=``, ``priority=``,
-        ``deadline_s=``, ``use_cache=``) still work with a
-        :class:`DeprecationWarning`; unknown keywords raise
-        :class:`TypeError`.
+        cache opt-out.
 
         In batched mode the submission buffers until the next
         :meth:`dispatch_round` (or :meth:`drain`, which flushes); in
@@ -483,27 +442,6 @@ class UDCService:
                     f"got {type(options).__name__}"
                 )
             opts = options.build_options()
-        folded: Dict[str, Any] = {}
-        for key in ("lint", "priority", "deadline_s", "use_cache"):
-            if key in legacy:
-                warnings.warn(
-                    f"submit({key}=...) is deprecated; pass "
-                    f"options=SubmitOptions({key}=...)",
-                    DeprecationWarning, stacklevel=2,
-                )
-                folded[key] = legacy.pop(key)
-        if legacy:
-            raise TypeError(
-                f"submit() got unexpected keyword argument(s) "
-                f"{sorted(legacy)}"
-            )
-        if folded:
-            if options is not None:
-                raise TypeError(
-                    "pass either options= or the deprecated submit "
-                    "keywords, not both"
-                )
-            opts = replace(opts, **folded)
         lint = self.lint if opts.lint is None else opts.lint
         record = self._tenant_of(tenant)
         name = record.name

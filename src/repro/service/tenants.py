@@ -20,6 +20,7 @@ the dataclass is expected compiles itself on admission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -88,10 +89,10 @@ class Tenant:
     submitted: int = 0
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if not 0 < self.weight < math.inf:
             raise ValueError(
-                f"tenant {self.name!r}: weight must be positive, "
-                f"got {self.weight}"
+                f"tenant {self.name!r}: weight must be positive and "
+                f"finite, got {self.weight}"
             )
 
     def check_quota(self, in_flight: int) -> None:
@@ -143,8 +144,10 @@ class TenantSpec:
     pricing: Optional[PricingPlan] = None
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(
+                f"weight must be positive and finite, got {self.weight}"
+            )
         if self.tier not in ("firm", "spot"):
             raise ValueError(
                 f"tier must be 'firm' or 'spot', got {self.tier!r}"

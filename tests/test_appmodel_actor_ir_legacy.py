@@ -1,16 +1,10 @@
-"""Tests for the actor framework, the IR compiler, and legacy partitioning."""
+"""Tests for the actor framework and the IR compiler."""
 
-import networkx as nx
 import pytest
 
 from repro.appmodel.actor import ActorSystem
 from repro.appmodel.annotations import AppBuilder
 from repro.appmodel.ir import compile_dag
-from repro.appmodel.legacy import (
-    cut_weight,
-    partition_program,
-    random_partition,
-)
 from repro.hardware.devices import DeviceType
 from repro.hardware.fabric import Fabric, Location
 from repro.simulator import Simulator
@@ -211,68 +205,3 @@ def test_ir_serializes_to_plain_dicts():
     payload = json.dumps(compile_dag(make_app()).to_dict())
     assert "infer" in payload
 
-
-# ------------------------------------------------------------ legacy partitioning
-
-
-def clustered_graph(clusters=4, size=8, internal=10.0, external=1.0):
-    """Dense clusters joined by weak links: ground truth for the cutter."""
-    graph = nx.Graph()
-    for c in range(clusters):
-        nodes = [f"c{c}n{i}" for i in range(size)]
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1:]:
-                graph.add_edge(u, v, weight=internal)
-        if c > 0:
-            graph.add_edge(f"c{c - 1}n0", f"c{c}n0", weight=external)
-    return graph
-
-
-def test_partition_recovers_clusters():
-    graph = clustered_graph()
-    report = partition_program(graph, 4)
-    assert len(report.segments) == 4
-    # Only the weak inter-cluster links should be cut.
-    assert report.cut_fraction < 0.05
-
-
-def test_partition_beats_random():
-    graph = clustered_graph()
-    kl = partition_program(graph, 4)
-    rnd = random_partition(graph, 4, seed=1)
-    assert kl.cut_weight < rnd.cut_weight
-
-
-def test_hints_never_split():
-    graph = clustered_graph(clusters=2)
-    hint = {"c0n0", "c1n0"}  # force two cluster anchors together
-    report = partition_program(graph, 2, developer_hints=[hint])
-    seg = report.segment_of("c0n0")
-    assert report.segment_of("c1n0") == seg
-
-
-def test_single_segment_no_cut():
-    report = partition_program(clustered_graph(), 1)
-    assert report.cut_weight == 0.0
-    assert report.cut_fraction == 0.0
-
-
-def test_cut_weight_helper():
-    graph = nx.Graph()
-    graph.add_edge("a", "b", weight=3.0)
-    graph.add_edge("b", "c", weight=5.0)
-    assert cut_weight(graph, [{"a"}, {"b", "c"}]) == 3.0
-    assert cut_weight(graph, [{"a", "b", "c"}]) == 0.0
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        partition_program(nx.Graph(), 0)
-
-
-def test_directed_input_accepted():
-    digraph = nx.DiGraph()
-    digraph.add_edge("a", "b", weight=1.0)
-    digraph.add_edge("b", "c", weight=1.0)
-    report = partition_program(digraph, 2)
-    assert sum(len(s) for s in report.segments) == 3

@@ -1,5 +1,10 @@
 """Tests for modules, the DAG, and the annotation API."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.appmodel.annotations import AppBuilder, data, task
@@ -97,6 +102,35 @@ def test_task_cycle_rejected():
         dag.validate()
 
 
+CYCLE_SCRIPT = """
+from repro.appmodel.dag import DagValidationError, ModuleDAG
+from repro.appmodel.module import TaskModule
+dag = ModuleDAG(name="loop")
+for name in ("a", "b", "c"):
+    dag.add_module(TaskModule(name=name))
+for src, dst in (("b", "c"), ("c", "a"), ("a", "b")):
+    dag.add_edge(src, dst)
+try:
+    dag.validate()
+except DagValidationError as exc:
+    print(exc)
+"""
+
+
+def test_cycle_message_is_independent_of_hash_seed():
+    """The gateway returns this text in 400 bodies: it must not depend
+    on set iteration order (these two seeds differed under the old
+    ``find_cycle``-over-a-set message)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    messages = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", CYCLE_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.add(out.stdout.strip())
+    assert messages == {"task graph has a cycle: a -> b -> c -> a"}
+
+
 def test_self_loop_rejected():
     dag = ModuleDAG(name="x")
     dag.add_module(TaskModule(name="a"))
@@ -116,8 +150,7 @@ def test_write_back_through_data_is_legal():
     dag.add_edge("writer", "state")
     dag.validate()
     graph = dag.effective_task_graph()
-    assert list(graph.predecessors("writer")) == ["reader"]
-    assert list(graph.predecessors("reader")) == []  # no cycle-closing edge
+    assert graph == {"reader": [], "writer": ["reader"]}  # no cycle-closing edge
 
 
 def test_stages_of_diamond():

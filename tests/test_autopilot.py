@@ -3,8 +3,7 @@
 Covers the tentpole contract — budget enforcement at the front door
 with adaptive ceilings, spot-tier preemption feeding the admission
 retry machinery, and forecast-sized warm pools — plus the satellite
-API work: the typed ``TenantSpec``/``SubmitOptions`` surface with its
-deprecation shims, the warm-pool deferred-prewarm regression, and the
+API work: the typed ``TenantSpec``/``SubmitOptions`` surface, the warm-pool deferred-prewarm regression, and the
 empty-ledger fairness contract.
 """
 
@@ -30,9 +29,11 @@ from repro.service import (
     BudgetExceeded,
     FifoAdmission,
     SubmitOptions,
+    Tenant,
     TenantQuota,
     TenantSpec,
     UDCService,
+    WeightedFairShare,
     submit_options,
     tenant_spec,
 )
@@ -105,6 +106,20 @@ def test_spec_validation_errors():
         PricingPlan(multiplier=0.0)
 
 
+@pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
+def test_weights_must_be_positive_and_finite(weight):
+    """An infinite weight makes the stride pass ``1/weight`` zero, so the
+    tenant would sort first in every round; NaN breaks the ordering."""
+    with pytest.raises(ValueError, match="finite"):
+        TenantSpec(weight=weight)
+    with pytest.raises(ValueError, match="finite"):
+        Tenant(name="t", weight=weight)
+    with pytest.raises(ValueError, match="finite"):
+        WeightedFairShare().set_weight("t", weight)
+    with pytest.raises(ValueError, match="finite"):
+        WeightedFairShare(default_weight=weight)
+
+
 def test_submit_options_builder_matches_dataclass():
     built = (submit_options().lint(False).priority(3).deadline(9.0)
              .no_cache().build())
@@ -112,7 +127,7 @@ def test_submit_options_builder_matches_dataclass():
                                   deadline_s=9.0, use_cache=False)
 
 
-# ------------------------------------------- deprecated spellings
+# ------------------------------------------- typed spellings
 
 
 def test_register_tenant_accepts_spec_and_builder():
@@ -125,44 +140,18 @@ def test_register_tenant_accepts_spec_and_builder():
     assert service.tenants["b"].weight == 3.0
 
 
-def test_register_tenant_positional_weight_warns():
-    service = UDCService(build_datacenter(TINY))
-    with pytest.warns(DeprecationWarning):
-        service.register_tenant("t", 2.5)
-    assert service.tenants["t"].weight == 2.5
-    assert service.spec_of("t").weight == 2.5
-
-
-def test_register_tenant_legacy_keywords_warn_and_fold():
-    service = UDCService(build_datacenter(TINY))
-    quota = TenantQuota(max_in_flight=1)
-    with pytest.warns(DeprecationWarning):
-        service.register_tenant("t", weight=4.0, quota=quota)
-    assert service.tenants["t"].weight == 4.0
-    assert service.tenants["t"].quota is quota
-
-
 def test_register_tenant_rejects_bad_spellings():
     service = UDCService(build_datacenter(TINY))
     with pytest.raises(TypeError):
         service.register_tenant("t", "heavy")
     with pytest.raises(TypeError):
+        service.register_tenant("t", 2.5)
+    with pytest.raises(TypeError):
         service.register_tenant("t", wight=2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError):
-            service.register_tenant("t", TenantSpec(), weight=2.0)
-
-
-def test_submit_legacy_keywords_warn_and_fold():
-    service = UDCService(build_datacenter(TINY))
-    app, spec = cpu_job("legacy")
-    with pytest.warns(DeprecationWarning):
-        handle = service.submit("t", app, spec, lint=False, priority=2)
-    assert handle.options.lint is False
-    assert handle.options.priority == 2
-    service.drain()
-    assert handle.status == "done"
+    with pytest.raises(TypeError):
+        service.register_tenant("t", TenantSpec(), weight=2.0)
+    with pytest.raises(TypeError):
+        service.register_tenant("t", weight=4.0, quota=TenantQuota())
 
 
 def test_submit_rejects_bad_spellings():
@@ -172,11 +161,10 @@ def test_submit_rejects_bad_spellings():
         service.submit("t", app, spec, options="fast")
     with pytest.raises(TypeError):
         service.submit("t", app, spec, prio=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError):
-            service.submit("t", app, spec,
-                           options=SubmitOptions(), priority=1)
+    with pytest.raises(TypeError):
+        service.submit("t", app, spec, options=SubmitOptions(), priority=1)
+    with pytest.raises(TypeError):
+        service.submit("t", app, spec, lint=False, priority=2)
 
 
 def test_priority_orders_the_dispatch_round():

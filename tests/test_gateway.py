@@ -356,3 +356,44 @@ def test_lint_memo_replays_metrics_identically():
     service.submit("m", dag, definition, inputs={"i": 2})
     # Memoized verdict, same metric emission.
     assert counter.value == first + 1
+
+
+# ------------------------------------ regression: tenant registration
+
+
+@pytest.mark.parametrize("body", [
+    '{"name": "t", "weight": "heavy"}',
+    '{"name": "t", "weight": 0}',
+    '{"name": "t", "max_in_flight": "3"}',
+    '{"name": "t", "weight": 1e309}',
+    '{"name": "t", "weight": NaN}',
+    '{"name": "t", "max_submissions": true}',
+], ids=["str-weight", "zero-weight", "str-quota", "inf-weight",
+        "nan-weight", "bool-quota"])
+def test_malformed_tenant_body_is_a_400(body):
+    """These used to surface as 500 ``internal`` — or, for a non-finite
+    weight, register a tenant whose stride pass never advances."""
+    async def scenario(gateway, service):
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            with pytest.raises(GatewayError) as err:
+                await client._json("POST", "/v1/tenants", body)
+        assert err.value.status == 400
+        assert err.value.payload["error"] == "bad-request"
+        assert "t" not in service.tenants
+        return True
+
+    assert run_gateway(scenario)
+
+
+def test_tenant_registration_builds_a_spec():
+    async def scenario(gateway, service):
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            reply = await client.register_tenant("t", weight=2,
+                                                 max_in_flight=3)
+        assert reply == {"name": "t", "weight": 2.0}
+        spec = service.spec_of("t")
+        assert spec.weight == 2.0 and spec.quota.max_in_flight == 3
+        assert spec.quota.max_submissions is None
+        return True
+
+    assert run_gateway(scenario)

@@ -158,18 +158,6 @@ def test_cli_autosize_emits_valid_spec(app_json, capsys):
     parse_definition(spec)  # must parse cleanly
 
 
-def test_cli_partition(tmp_path, capsys):
-    graph = tmp_path / "graph.json"
-    graph.write_text(json.dumps({
-        "edges": [["a", "b", 5], ["b", "c", 5], ["c", "d", 1],
-                  ["d", "e", 5], ["e", "f", 5]],
-        "hints": [["a", "b"]],
-    }))
-    assert main(["partition", str(graph), "-k", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "segment 0" in out and "cross-segment" in out
-
-
 def test_cli_catalog(tmp_path, capsys):
     demands = tmp_path / "demands.json"
     demands.write_text(json.dumps(

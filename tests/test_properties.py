@@ -223,39 +223,3 @@ def test_derive_seed_in_range_and_stable(seed, name):
     value = derive_seed(seed, name)
     assert 0 <= value < 2**64
     assert value == derive_seed(seed, name)
-
-
-# ------------------------------------------------------------ legacy partitioner
-
-
-@st.composite
-def weighted_graphs(draw):
-    import networkx as nx
-
-    n = draw(st.integers(3, 16))
-    graph = nx.Graph()
-    graph.add_nodes_from(f"n{i}" for i in range(n))
-    for i in range(n - 1):  # spanning path keeps it connected
-        graph.add_edge(f"n{i}", f"n{i + 1}",
-                       weight=draw(st.floats(0.5, 10.0)))
-    extra = draw(st.integers(0, n))
-    for _ in range(extra):
-        u = draw(st.integers(0, n - 1))
-        v = draw(st.integers(0, n - 1))
-        if u != v:
-            graph.add_edge(f"n{u}", f"n{v}",
-                           weight=draw(st.floats(0.5, 10.0)))
-    return graph
-
-
-@given(weighted_graphs(), st.integers(1, 4))
-@settings(max_examples=40, deadline=None)
-def test_partition_is_a_partition(graph, k):
-    from repro.appmodel.legacy import partition_program
-
-    report = partition_program(graph, k)
-    union = set().union(*report.segments) if report.segments else set()
-    assert union == set(graph.nodes)
-    total = sum(len(s) for s in report.segments)
-    assert total == graph.number_of_nodes()  # disjoint
-    assert 0.0 <= report.cut_fraction <= 1.0
