@@ -157,6 +157,14 @@ def test_e22_resilience_policies(benchmark):
     assert stats["retry"]["tail_s"] > 0.9 * base["tail_s"]
 
 
+def test_e22_no_span_left_running():
+    """Every span a policy opens (attempts, recoveries, hedges and their
+    phases) is closed by the time the run drains."""
+    for name in POLICIES:
+        spans = run_config(name).telemetry.spans
+        assert [s for s in spans if s.status == "running"] == [], name
+
+
 def test_e22_deterministic_given_seed():
     """Same seed -> byte-identical run summary; different seed diverges
     somewhere in the retry jitter (backoff timing), not necessarily in

@@ -60,6 +60,10 @@ TARGETS = [
     SRC / "analysis",
     # task stages and validation messages (returned in gateway 400s)
     SRC / "appmodel" / "dag.py",
+    # admission-retry order, preemption victim order and store healing
+    # feed journaled fingerprints
+    SRC / "core" / "runtime.py",
+    SRC / "distsem",
 ]
 
 SUPPRESS_MARK = "# det: ok"

@@ -40,7 +40,7 @@ from repro.core.defaults import provider_defaults
 from repro.core.objects import UDCObject
 from repro.core.observability import MetricsRegistry, Span
 from repro.core.report import ModuleRow, RunResult
-from repro.core.scheduler import TaskPlacement, UdcScheduler
+from repro.core.scheduler import SchedulerError, TaskPlacement, UdcScheduler
 from repro.core.spec import UserDefinition, parse_definition
 from repro.core.telemetry import Telemetry
 from repro.core.tuner import FineTuner
@@ -61,6 +61,7 @@ from repro.execenv.environments import ENV_PROFILES, EnvKind, EnvState
 from repro.execenv.protection import ProtectionPolicy
 from repro.execenv.warmpool import WarmPool
 from repro.hardware.devices import DeviceType
+from repro.hardware.pools import AllocationError
 from repro.hardware.topology import Datacenter
 from repro.simulator.engine import Event, Interrupt, Process
 from repro.simulator.rng import RngRegistry
@@ -90,7 +91,6 @@ class _LiveTask:
     process: Optional[Process] = None
     #: live speculative duplicate, if a HedgePolicy launched one
     hedge_process: Optional[Process] = None
-    hedge_placement: Optional[TaskPlacement] = None
     #: root lifecycle span for this task (closed by _finish_task)
     span: Optional[Span] = None
     #: set by UDCRuntime.preempt so stale hedge monitors and deadline
@@ -137,9 +137,15 @@ class Submission:
     cost_ledger: List[Tuple[Any, float]] = field(default_factory=list)
     settled_cost: float = 0.0
     result: Optional[RunResult] = None
-    #: the user definition this submission deployed with, kept so a
-    #: preempted submission can redeploy through the admission queue
+    #: the deploy arguments, kept so a queued or preempted submission
+    #: can (re)deploy through the admission queue
     definition: Any = field(default=None, repr=False)
+    dishonest_env: Optional[Dict[str, EnvKind]] = field(default=None, repr=False)
+    attach_stores: Optional[Dict[str, ReplicatedStore]] = field(default=None, repr=False)
+    #: ``[(sim_time, failure_domain_name), ...]``: injected by the deploy
+    #: that places the submission, then cleared, so a redeploy after a
+    #: preemption does not inject it again
+    failure_plan: Optional[List[Tuple[float, str]]] = field(default=None, repr=False)
     #: per-task execution state of the current deployment (rebuilt on
     #: every _deploy; what UDCRuntime.preempt interrupts)
     live_tasks: Dict[str, "_LiveTask"] = field(default_factory=dict,
@@ -169,17 +175,6 @@ class DeferredSubmission:
 
     arrives_at: float
     submission: Optional[Submission] = None
-
-
-@dataclass
-class _QueuedEntry:
-    """One parked submission plus everything needed to re-deploy it."""
-
-    submission: Submission
-    definition: Union[UserDefinition, Dict, None]
-    failure_plan: Optional[List[Tuple[float, str]]]
-    dishonest_env: Optional[Dict[str, "EnvKind"]]
-    attach_stores: Optional[Dict[str, ReplicatedStore]]
 
 
 class UDCRuntime:
@@ -248,7 +243,7 @@ class UDCRuntime:
         self._owner_of: Dict[str, Submission] = {}
         self._submissions: List[Submission] = []
         self._deferred: List[DeferredSubmission] = []
-        self._admission_queue: List[_QueuedEntry] = []
+        self._admission_queue: List[Submission] = []
         self._retry_scheduled = False
         #: who gets freed capacity first — FIFO preserves the historical
         #: behavior; UDCService installs WeightedFairShare here
@@ -321,13 +316,9 @@ class UDCRuntime:
 
     # ------------------------------------------------------------------ placement
 
-    def _deploy_data(
-        self,
-        submission: Submission,
-        attach_stores: Optional[Dict[str, ReplicatedStore]] = None,
-    ) -> Dict[str, ReplicatedStore]:
+    def _deploy_data(self, submission: Submission) -> Dict[str, ReplicatedStore]:
         stores: Dict[str, ReplicatedStore] = {}
-        attach_stores = attach_stores or {}
+        attach_stores = submission.attach_stores or {}
         for name, obj in sorted(submission.objects.items()):
             if not obj.is_data:
                 continue
@@ -449,14 +440,14 @@ class UDCRuntime:
         default).  Submissions that never fit surface as
         ``status == "unplaceable"`` at drain.
         """
-        from repro.core.scheduler import SchedulerError
-
-        submission = Submission(dag=app, tenant=tenant, inputs=inputs or {},
-                                seq=next(self._seq_counter),
-                                persistent=persistent)
+        submission = Submission(
+            dag=app, tenant=tenant, inputs=inputs or {},
+            seq=next(self._seq_counter), persistent=persistent,
+            definition=definition, dishonest_env=dishonest_env,
+            attach_stores=attach_stores, failure_plan=failure_plan,
+        )
         try:
-            self._deploy(submission, definition, failure_plan,
-                         dishonest_env, attach_stores)
+            self._deploy(submission)
             self.admission_policy.on_admitted(tenant)
         except SchedulerError as exc:
             self._rollback(submission)
@@ -464,10 +455,7 @@ class UDCRuntime:
                 raise
             submission.status = "queued"
             submission.queued_at = self.sim.now
-            self._admission_queue.append(
-                _QueuedEntry(submission, definition, failure_plan,
-                             dishonest_env, attach_stores)
-            )
+            self._admission_queue.append(submission)
             self.telemetry.event(
                 self.sim.now, app.name, "admission-queued", str(exc)
             )
@@ -498,29 +486,23 @@ class UDCRuntime:
         the submission seq — so the retry order is a deterministic
         function of queue contents, never of insertion accidents.
         """
-        from repro.core.scheduler import SchedulerError
-
         self._retry_scheduled = False
         policy = self.admission_policy
         tier_of = self.tier_of
 
-        def _retry_key(entry):
-            tenant = entry.submission.tenant
+        def _retry_key(submission):
+            tenant = submission.tenant
             # Firm-tier work outranks spot within a retry round, so a
             # preempted spot submission can never starve the firm
             # submission whose arrival evicted it.
             rank = tier_of(tenant) if tier_of is not None else 0
-            return (rank,) + tuple(policy.sort_key(tenant,
-                                                   entry.submission.seq))
+            return (rank,) + tuple(policy.sort_key(tenant, submission.seq))
 
         ordered = sorted(self._admission_queue, key=_retry_key)
         still_waiting = []
-        for entry in ordered:
-            submission = entry.submission
+        for submission in ordered:
             try:
-                self._deploy(submission, entry.definition,
-                             entry.failure_plan, entry.dishonest_env,
-                             entry.attach_stores)
+                self._deploy(submission)
                 policy.on_admitted(submission.tenant)
                 submission.queue_wait_s = self.sim.now - submission.queued_at
                 self.telemetry.event(
@@ -529,7 +511,7 @@ class UDCRuntime:
                 )
             except SchedulerError:
                 self._rollback(submission)
-                still_waiting.append(entry)
+                still_waiting.append(submission)
         self._admission_queue = still_waiting
 
     def _schedule_admission_retry(self) -> None:
@@ -582,9 +564,7 @@ class UDCRuntime:
         submission.preemptions += 1
         submission.status = "queued"
         submission.queued_at = self.sim.now
-        self._admission_queue.append(
-            _QueuedEntry(submission, submission.definition, None, None, None)
-        )
+        self._admission_queue.append(submission)
         self.telemetry.inc("udc_preemptions_total")
         self.telemetry.event(
             self.sim.now, submission.dag.name, "preempted",
@@ -593,23 +573,15 @@ class UDCRuntime:
         self._schedule_admission_retry()
         return True
 
-    def _deploy(
-        self,
-        submission: Submission,
-        definition: Union[UserDefinition, Dict, None],
-        failure_plan: Optional[List[Tuple[float, str]]],
-        dishonest_env: Optional[Dict[str, EnvKind]],
-        attach_stores: Optional[Dict[str, ReplicatedStore]],
-    ) -> None:
+    def _deploy(self, submission: Submission) -> None:
         dag = submission.dag
         tenant = submission.tenant
-        inputs = submission.inputs
-        submission.definition = definition
-        objects, resolution = self.admit(dag, definition, tenant)
+        dishonest_env = submission.dishonest_env
+        objects, resolution = self.admit(dag, submission.definition, tenant)
         submission.objects = objects
         submission.resolution = resolution
         self._prewarm_for(objects, dag)
-        submission.stores = self._deploy_data(submission, attach_stores)
+        submission.stores = self._deploy_data(submission)
         placements = self.scheduler.place_tasks(objects, dag)
         for name in placements:
             # compute + memory + any hot-standby replicas, all pay-per-use
@@ -659,8 +631,9 @@ class UDCRuntime:
                 domain_name=domain_name,
             )
 
-        for when, domain_name in failure_plan or []:
+        for when, domain_name in submission.failure_plan or []:
             self.injector.fail_at(when, domain_name)
+        submission.failure_plan = None
 
         submission.live_tasks = live
         submission.submitted_at = self.sim.now
@@ -771,8 +744,7 @@ class UDCRuntime:
         operational condition, not a crash.
         """
         self.sim.run()
-        for entry in self._admission_queue:
-            submission = entry.submission
+        for submission in self._admission_queue:
             submission.status = "unplaceable"
             self.telemetry.event(
                 self.sim.now, submission.dag.name, "admission-unplaceable",
@@ -839,268 +811,293 @@ class UDCRuntime:
     def _breaker_admits(self, device) -> bool:
         return self.breakers.allows(device.device_id, self.sim.now)
 
-    def _retry_stream(self, module: str):
-        """Per-module jitter stream — deterministic regardless of how
-        other modules' retries interleave."""
-        return self.rng.stream(f"retry:{module}")
-
-    def _run_task(
-        self,
-        task_state: _LiveTask,
-        submission: Submission,
-        checkpoint_store: Optional[CheckpointStore],
-    ):
-        dag = submission.dag
-        objects = submission.objects
-        stores = submission.stores
-        completions = submission.completions
+    def _run_task(self, task_state: _LiveTask, submission: Submission,
+                  checkpoint_store: Optional[CheckpointStore]):
+        """The task's process: recover (after a failure) → wait-deps
+        (before the first attempt) → attempt, until an attempt completes
+        or the task is abandoned."""
         obj = task_state.obj
-        task: TaskModule = obj.module
-        record = obj.record
-        placement = task_state.placement
         dist = obj.aspects.distributed or DistributedAspect()
-
-        deps = [
-            completions[d]
-            for d in self._task_dependencies(obj.name, dag)
-            if d in completions
-        ]
-        waiting_on_deps = bool(deps)
-        started = False
-
+        completions = submission.completions
+        # None once the task has started; all_of tolerates already-fired
+        # members, so a failure mid-wait just waits again.
+        deps = [completions[d]
+                for d in self._task_dependencies(obj.name, submission.dag)
+                if d in completions]
+        # What a crash blames: the placement the interrupted attempt ran
+        # on, which moves only once a recovery completes.
+        placement = task_state.placement
         progress = 0.0
         attempts = 0
-        recovering = False
-        root_span = self.telemetry.span_start(
+        root_span = task_state.span = self.telemetry.span_start(
             self.sim.now, obj.name, "task", "lifecycle",
-            tenant=obj.tenant, app=dag.name,
+            tenant=obj.tenant, app=submission.dag.name,
         )
-        task_state.span = root_span
         while True:
-            # Spans currently open inside the try body; the interrupt
-            # handler closes whatever a failure caught mid-flight.
-            attempt_span = None
-            child_span = None
             try:
-                if recovering:
-                    # Recovery runs inside the try so a failure DURING
-                    # recovery (backoff, migration, restore) is counted
-                    # as another attempt instead of killing the process.
-                    recovering = False
-                    child_span = self.telemetry.span_start(
-                        self.sim.now, obj.name, "recover", "recover",
-                        parent=root_span, attempt=attempts,
-                    )
-                    retry = dist.retry
-                    if retry is not None:
-                        delay = retry.backoff_s(
-                            attempts, self._retry_stream(obj.name)
-                        )
-                        if delay > 0:
-                            record.backoff_s += delay
-                            yield self.sim.timeout(delay)
-                    strategy = dist.recovery or RecoveryStrategy.RERUN
-                    outcome = plan_recovery(strategy, obj.name, checkpoint_store)
-                    migrated = yield from self._migrate(task_state, submission)
-                    if not migrated:
-                        self.telemetry.span_end(child_span, self.sim.now,
-                                                status="error")
-                        self._finish_task(task_state, submission, None,
-                                          winner="abandoned")
+                if attempts:
+                    # Inside the try: a failure DURING recovery (backoff,
+                    # migration, restore) counts as another attempt.
+                    progress = yield from self._recover(
+                        task_state, submission, checkpoint_store, attempts)
+                    if progress is None:
                         return None
-                    record.retries += 1
-                    self.telemetry.inc("udc_retries_total")
-                    attempt_now, backoff_now = attempts, record.backoff_s
-                    self.telemetry.event(
-                        self.sim.now, obj.name, "retry",
-                        lambda: f"attempt {attempt_now} "
-                                f"backoff={backoff_now:.3f}s",
-                    )
-                    if outcome.checkpoint is not None:
-                        t0 = self.sim.now
-                        restored = yield from checkpoint_store.restore(
-                            obj.name, task_state.placement.unit.location
-                        )
-                        record.checkpoint_s += self.sim.now - t0
-                        if restored is None:
-                            # The backing storage device failed mid-run:
-                            # degrade to re-execution from scratch rather
-                            # than crash the recovery itself.
-                            outcome = plan_recovery(
-                                RecoveryStrategy.RERUN, obj.name, None
-                            )
-                            self.telemetry.event(
-                                self.sim.now, obj.name, "restore-degraded",
-                                "checkpoint device failed; rerunning from "
-                                "scratch",
-                            )
-                    progress = outcome.resume_progress
-                    record.recovered_from_progress = progress
                     placement = task_state.placement
-                    self.telemetry.span_end(child_span, self.sim.now)
-                    child_span = None
-                if waiting_on_deps:
-                    # all_of tolerates already-fired members, so retrying
-                    # after a failure-interrupt mid-wait is safe.
-                    child_span = self.telemetry.span_start(
-                        self.sim.now, obj.name, "wait-deps", "schedule",
-                        parent=root_span, deps=len(deps),
-                    )
-                    yield self.sim.all_of(deps)
-                    self.telemetry.span_end(child_span, self.sim.now)
-                    child_span = None
-                    waiting_on_deps = False
-                if not started:
-                    record.started_at = self.sim.now
-                    started = True
+                if deps is not None:
+                    if deps:
+                        span = self.telemetry.span_start(
+                            self.sim.now, obj.name, "wait-deps", "schedule",
+                            parent=root_span, deps=len(deps),
+                        )
+                        try:
+                            yield self.sim.all_of(deps)
+                        except Interrupt:
+                            self.telemetry.span_end(span, self.sim.now,
+                                                    status="interrupted")
+                            raise
+                        self.telemetry.span_end(span, self.sim.now)
+                    deps = None
+                    obj.record.started_at = self.sim.now
                     self._arm_deadline(task_state, dist)
                     self._arm_hedge(task_state, submission, dist)
-                attempt_span = self.telemetry.span_start(
+                span = self.telemetry.span_start(
                     self.sim.now, obj.name, "attempt",
                     "execute" if attempts == 0 else "retry",
                     parent=root_span, attempt=attempts,
                 )
-                # -- environment startup (on demand; warm pools shortcut it)
-                env = obj.environment
-                t0 = self.sim.now
-                child_span = self.telemetry.span_start(
-                    self.sim.now, obj.name, "env-acquire", "env-acquire",
-                    parent=attempt_span, env=env.kind.value,
-                    warm=env.from_warm_pool,
-                )
-                yield self.sim.timeout(env.startup_time())
-                env.state = EnvState.RUNNING
-                env.started_at = self.sim.now
-                record.startup_s += self.sim.now - t0
-                self.telemetry.span_end(child_span, self.sim.now)
-                child_span = None
-                self.telemetry.observe("udc_env_startup_seconds",
-                                       self.sim.now - t0)
-                self._attest(obj, placement)
-
-                # -- pull inputs over the fabric
-                t0 = self.sim.now
-                child_span = self.telemetry.span_start(
-                    self.sim.now, obj.name, "transfer-in", "execute",
-                    parent=attempt_span,
-                )
-                yield from self._pull_inputs(obj, placement, dag, objects, stores)
-                record.transfer_s += self.sim.now - t0
-                self.telemetry.span_end(child_span, self.sim.now)
-
-                # -- chunked compute with optional checkpoints
-                native = task.execution_seconds(
-                    placement.device_type,
-                    placement.unit.effective_compute_amount,
-                    placement.compute_rate,
-                )
-                wall_full = env.compute_time(native)
-                child_span = self.telemetry.span_start(
-                    self.sim.now, obj.name, "execute", "execute",
-                    parent=attempt_span,
-                    device=placement.unit.compute.device.device_id,
-                )
-                # Chunk compute for telemetry even without checkpointing:
-                # the tuner needs mid-run samples to act on (§3.2), and a
-                # checkpointing task checkpoints at its own interval.
-                chunk = (dist.checkpoint_interval if dist.checkpoint
-                         else TELEMETRY_CHUNK)
-                while progress < 1.0 - 1e-12:
-                    step = min(chunk, 1.0 - progress)
-                    t0 = self.sim.now
-                    # A straggler device stretches each chunk by its
-                    # current slow factor (gray failure — no interrupt).
-                    yield self.sim.timeout(
-                        wall_full * step
-                        * placement.unit.compute.device.slow_factor
-                    )
-                    record.compute_s += self.sim.now - t0
-                    progress += step
-                    self._sample_utilization(obj, placement)
-                    self.tuner.review_allocation(
-                        obj.name, placement.unit.compute, task_state.declared_amount
-                    )
-                    if dist.checkpoint and checkpoint_store is not None \
-                            and progress < 1.0 - 1e-12:
-                        t0 = self.sim.now
-                        yield from checkpoint_store.checkpoint(
-                            obj.name, placement.unit.location, progress,
-                            task.state_bytes,
-                        )
-                        record.checkpoint_s += self.sim.now - t0
-                        record.checkpoints_taken += 1
-                self.telemetry.span_end(child_span, self.sim.now)
-
-                # -- push outputs into downstream data modules
-                t0 = self.sim.now
-                child_span = self.telemetry.span_start(
-                    self.sim.now, obj.name, "transfer-out", "execute",
-                    parent=attempt_span,
-                )
-                yield from self._push_outputs(obj, placement, dag, stores)
-                record.transfer_s += self.sim.now - t0
-                self.telemetry.span_end(child_span, self.sim.now)
-                child_span = None
-                self.telemetry.span_end(attempt_span, self.sim.now)
+                try:
+                    yield from self._attempt(task_state, submission, placement,
+                                             span, progress, checkpoint_store)
+                except Interrupt:
+                    self.telemetry.span_end(span, self.sim.now,
+                                            status="interrupted")
+                    raise
+                self.telemetry.span_end(span, self.sim.now)
                 break
-
             except Interrupt as interrupt:
-                cause = interrupt.cause
-                self.telemetry.span_end(child_span, self.sim.now,
-                                        status="interrupted")
-                self.telemetry.span_end(attempt_span, self.sim.now,
-                                        status="interrupted")
-                if isinstance(cause, HedgeCancelled):
-                    # The hedge won and did all bookkeeping; just vanish.
+                if self._stand_down(task_state, submission, interrupt.cause):
                     return None
-                if isinstance(cause, Preempted):
-                    # UDCRuntime.preempt settled the meters, released the
-                    # allocations, and re-queued the whole submission;
-                    # this process just vanishes (like a losing hedge).
-                    self.telemetry.event(
-                        self.sim.now, obj.name, "preempted",
-                        f"capacity reclaimed for {cause.by_tenant}",
-                    )
-                    return None
-                if isinstance(cause, DeadlineMiss):
-                    record.deadline_missed = True
-                    self.telemetry.inc("udc_deadline_misses_total")
-                    self.telemetry.event(
-                        self.sim.now, obj.name, "deadline_miss",
-                        f"abandoned after {cause.deadline_s:g}s",
-                    )
-                    self._finish_task(task_state, submission, None,
-                                      winner="abandoned")
-                    return None
-                record.failures += 1
                 attempts += 1
-                self.telemetry.inc("udc_failures_total")
-                self.telemetry.event(
-                    self.sim.now, obj.name, "failure",
-                    lambda: f"cause={cause}",
-                )
-                if isinstance(cause, Failure) and cause.kind == "crash":
-                    device = placement.unit.compute.device
-                    if self.breakers.record_failure(
-                        device.device_id, self.sim.now
-                    ):
-                        self.telemetry.event(
-                            self.sim.now, obj.name, "breaker_open",
-                            f"device {device.device_id}",
-                        )
-                strategy = dist.recovery or RecoveryStrategy.RERUN
+                self._record_failure(obj, placement, interrupt.cause)
                 limit = (dist.retry.max_attempts if dist.retry is not None
                          else self.max_recovery_attempts)
-                if strategy == RecoveryStrategy.NONE or attempts > limit:
+                if dist.recovery == RecoveryStrategy.NONE or attempts > limit:
                     self._finish_task(task_state, submission, None,
                                       winner="abandoned")
                     return None
-                recovering = True
-
-        # -- functional result
         result = self._invoke_fn(obj, submission)
-        self._finish_task(task_state, submission, result, winner="primary")
+        self._finish_task(task_state, submission, result, winner="primary",
+                          placement=placement)
         return result
+
+    def _stand_down(self, task_state: _LiveTask, submission: Submission,
+                    cause) -> bool:
+        """End the primary on an interrupt that is not a failure: a winning
+        hedge, a preemption or a missed deadline.  False for a failure."""
+        obj = task_state.obj
+        if isinstance(cause, HedgeCancelled):
+            # The hedge won and did all bookkeeping; just vanish.
+            return True
+        if isinstance(cause, Preempted):
+            # UDCRuntime.preempt settled the meters, released the
+            # allocations, and re-queued the whole submission; this
+            # process just vanishes (like a losing hedge).  preempt()
+            # closed the lifecycle span too, unless this process first
+            # ran after the eviction and opened it since.
+            self.telemetry.span_end(task_state.span, self.sim.now,
+                                    status="preempted")
+            self.telemetry.event(
+                self.sim.now, obj.name, "preempted",
+                f"capacity reclaimed for {cause.by_tenant}",
+            )
+            return True
+        if isinstance(cause, DeadlineMiss):
+            obj.record.deadline_missed = True
+            self.telemetry.inc("udc_deadline_misses_total")
+            self.telemetry.event(
+                self.sim.now, obj.name, "deadline_miss",
+                f"abandoned after {cause.deadline_s:g}s",
+            )
+            self._finish_task(task_state, submission, None,
+                              winner="abandoned")
+            return True
+        return False
+
+    def _record_failure(self, obj: UDCObject, placement: TaskPlacement,
+                        cause, detail: str = "") -> None:
+        """Count one failed attempt (``detail`` prefixes the cause in the
+        ``failure`` event); a crash also counts against the breaker of
+        the device the attempt ran on."""
+        obj.record.failures += 1
+        self.telemetry.inc("udc_failures_total")
+        self.telemetry.event(self.sim.now, obj.name, "failure",
+                             lambda: f"{detail}cause={cause}")
+        if isinstance(cause, Failure) and cause.kind == "crash":
+            device_id = placement.unit.compute.device.device_id
+            if self.breakers.record_failure(device_id, self.sim.now):
+                self.telemetry.event(self.sim.now, obj.name,
+                                     "breaker_open", f"device {device_id}")
+
+    def _recover(self, task_state: _LiveTask, submission: Submission,
+                 checkpoint_store: Optional[CheckpointStore], attempts: int):
+        """Back off, migrate off the failed device and restore the latest
+        checkpoint.  Returns the progress to resume from, or None once
+        the task is abandoned (no device to migrate to)."""
+        obj = task_state.obj
+        record = obj.record
+        dist = obj.aspects.distributed or DistributedAspect()
+        span = self.telemetry.span_start(
+            self.sim.now, obj.name, "recover", "recover",
+            parent=task_state.span, attempt=attempts,
+        )
+        try:
+            if dist.retry is not None:
+                # A per-module jitter stream: deterministic regardless of
+                # how other modules' retries interleave.
+                delay = dist.retry.backoff_s(
+                    attempts, self.rng.stream(f"retry:{obj.name}"))
+                if delay > 0:
+                    record.backoff_s += delay
+                    yield self.sim.timeout(delay)
+            outcome = plan_recovery(dist.recovery or RecoveryStrategy.RERUN,
+                                    obj.name, checkpoint_store)
+            if not (yield from self._migrate(task_state, submission)):
+                self.telemetry.span_end(span, self.sim.now, status="error")
+                self._finish_task(task_state, submission, None,
+                                  winner="abandoned")
+                return None
+            record.retries += 1
+            self.telemetry.inc("udc_retries_total")
+            backoff = record.backoff_s
+            self.telemetry.event(
+                self.sim.now, obj.name, "retry",
+                lambda: f"attempt {attempts} backoff={backoff:.3f}s",
+            )
+            if outcome.checkpoint is not None:
+                t0 = self.sim.now
+                restored = yield from checkpoint_store.restore(
+                    obj.name, task_state.placement.unit.location)
+                record.checkpoint_s += self.sim.now - t0
+                if restored is None:
+                    # The backing storage device failed mid-run: degrade
+                    # to re-execution from scratch rather than crash the
+                    # recovery itself.
+                    outcome = plan_recovery(RecoveryStrategy.RERUN,
+                                            obj.name, None)
+                    self.telemetry.event(
+                        self.sim.now, obj.name, "restore-degraded",
+                        "checkpoint device failed; rerunning from scratch",
+                    )
+        except Interrupt:
+            self.telemetry.span_end(span, self.sim.now, status="interrupted")
+            raise
+        record.recovered_from_progress = outcome.resume_progress
+        self.telemetry.span_end(span, self.sim.now)
+        return outcome.resume_progress
+
+    def _attempt(self, task_state: _LiveTask, submission: Submission,
+                 placement: TaskPlacement, parent_span: Span,
+                 progress: float = 0.0,
+                 checkpoint_store: Optional[CheckpointStore] = None,
+                 hedge: bool = False):
+        """One execution on ``placement`` from ``progress``: env-acquire →
+        transfer-in → execute (chunked compute) → transfer-out, each a
+        child span of ``parent_span`` that an Interrupt closes
+        ``interrupted``.
+
+        Primary attempts and hedges share this body.  A ``hedge`` skips
+        what belongs to the primary alone (attestation, utilization
+        samples, tuner review, checkpoints — so it steps by
+        ``TELEMETRY_CHUNK``) and returns False at the first chunk
+        boundary after the task completed elsewhere.
+        """
+        obj = task_state.obj
+        record = obj.record
+        dist = obj.aspects.distributed or DistributedAspect()
+        checkpointing = dist.checkpoint and not hedge
+        env = placement.unit.environment
+        device = placement.unit.compute.device
+        sim = self.sim
+        telemetry = self.telemetry
+        span = None
+        try:
+            # -- environment startup (on demand; warm pools shortcut it)
+            t0 = sim.now
+            span = telemetry.span_start(
+                t0, obj.name, "env-acquire", "env-acquire",
+                parent=parent_span, env=env.kind.value,
+                warm=env.from_warm_pool,
+            )
+            yield sim.timeout(env.startup_time())
+            env.state = EnvState.RUNNING
+            env.started_at = sim.now
+            record.startup_s += sim.now - t0
+            telemetry.span_end(span, sim.now)
+            telemetry.observe("udc_env_startup_seconds", sim.now - t0)
+            if not hedge:
+                self._attest(obj, placement)
+
+            t0 = sim.now
+            span = telemetry.span_start(t0, obj.name, "transfer-in",
+                                        "execute", parent=parent_span)
+            yield from self._pull_inputs(obj, placement, submission)
+            record.transfer_s += sim.now - t0
+            telemetry.span_end(span, sim.now)
+
+            # Chunk compute even without checkpointing: the tuner needs
+            # mid-run samples to act on (§3.2).
+            wall_full = self._wall_time(obj, placement)
+            chunk = (dist.checkpoint_interval if checkpointing
+                     else TELEMETRY_CHUNK)
+            span = telemetry.span_start(sim.now, obj.name, "execute",
+                                        "execute", parent=parent_span,
+                                        device=device.device_id)
+            while progress < 1.0 - 1e-12:
+                step = min(chunk, 1.0 - progress)
+                t0 = sim.now
+                # A straggler device stretches each chunk by its current
+                # slow factor (gray failure — no interrupt).
+                yield sim.timeout(wall_full * step * device.slow_factor)
+                record.compute_s += sim.now - t0
+                progress += step
+                if hedge:
+                    if task_state.completion.triggered:
+                        telemetry.span_end(span, sim.now, status="cancelled")
+                        return False
+                    continue
+                self._sample_utilization(obj, placement)
+                self.tuner.review_allocation(obj.name, placement.unit.compute,
+                                             task_state.declared_amount)
+                if checkpointing and checkpoint_store is not None \
+                        and progress < 1.0 - 1e-12:
+                    t0 = sim.now
+                    yield from checkpoint_store.checkpoint(
+                        obj.name, placement.unit.location, progress,
+                        obj.module.state_bytes,
+                    )
+                    record.checkpoint_s += sim.now - t0
+                    record.checkpoints_taken += 1
+            telemetry.span_end(span, sim.now)
+
+            t0 = sim.now
+            span = telemetry.span_start(t0, obj.name, "transfer-out",
+                                        "execute", parent=parent_span)
+            yield from self._push_outputs(obj, placement, submission)
+            record.transfer_s += sim.now - t0
+            telemetry.span_end(span, sim.now)
+        except Interrupt:
+            telemetry.span_end(span, sim.now, status="interrupted")
+            raise
+        return True
+
+    def _wall_time(self, obj: UDCObject, placement: TaskPlacement) -> float:
+        """Seconds the whole task computes on ``placement``: native
+        execution time stretched by the environment's overhead."""
+        native = obj.module.execution_seconds(
+            placement.device_type, placement.unit.effective_compute_amount,
+            placement.compute_rate,
+        )
+        return placement.unit.environment.compute_time(native)
 
     def _invoke_fn(self, obj: UDCObject, submission: Submission):
         task: TaskModule = obj.module
@@ -1125,13 +1122,15 @@ class UDCRuntime:
         submission: Submission,
         result,
         winner: str,
+        placement: Optional[TaskPlacement] = None,
     ) -> bool:
         """Single completion point for a task: first caller wins.
 
-        ``winner`` is ``"primary"``, ``"hedge"``, or ``"abandoned"``.
-        Releases every allocation (primary + hedge + standbys), fires the
-        completion event exactly once, and cancels the losing sibling
-        attempt.  Returns False when someone else already finished.
+        ``winner`` is ``"primary"``, ``"hedge"``, or ``"abandoned"``;
+        ``placement`` is where a winning attempt ran.  Releases every
+        allocation (primary + hedge + standbys), fires the completion
+        event exactly once, and cancels the losing sibling attempt.
+        Returns False when someone else already finished.
         """
         completion = task_state.completion
         if completion.triggered:
@@ -1143,18 +1142,15 @@ class UDCRuntime:
         if winner in ("primary", "hedge"):
             record.winner = winner
             submission.outputs[obj.name] = result
-            active = (task_state.hedge_placement if winner == "hedge"
-                      else task_state.placement)
             self.breakers.record_success(
-                active.unit.compute.device.device_id, self.sim.now
+                placement.unit.compute.device.device_id, self.sim.now
             )
         if winner == "hedge":
             record.hedge_won = True
             self.telemetry.inc("udc_hedge_wins_total")
             self.telemetry.event(
                 self.sim.now, obj.name, "hedge-win",
-                f"hedge on "
-                f"{task_state.hedge_placement.unit.compute.device.device_id} "
+                f"hedge on {placement.unit.compute.device.device_id} "
                 f"beat the primary",
             )
         elif winner == "primary" and task_state.hedge_process is not None:
@@ -1207,14 +1203,8 @@ class UDCRuntime:
             return
         obj = task_state.obj
         placement = task_state.placement
-        task: TaskModule = obj.module
-        native = task.execution_seconds(
-            placement.device_type,
-            placement.unit.effective_compute_amount,
-            placement.compute_rate,
-        )
-        env = placement.unit.environment
-        expected_wall = env.startup_time() + env.compute_time(native)
+        expected_wall = (placement.unit.environment.startup_time()
+                         + self._wall_time(obj, placement))
         delay = dist.hedge.trigger_delay_s(expected_wall)
         self.sim.process(
             self._hedge_monitor(task_state, submission, delay, dist.hedge),
@@ -1226,7 +1216,6 @@ class UDCRuntime:
         """Wait for the trigger point; if the task is still running,
         launch a speculative duplicate.  Re-hedges (up to ``max_hedges``)
         only if an earlier hedge died without finishing."""
-        obj = task_state.obj
         for _ in range(policy.max_hedges):
             yield self.sim.timeout(delay)
             if task_state.completion.triggered or task_state.preempted:
@@ -1240,8 +1229,6 @@ class UDCRuntime:
     def _launch_hedge(
         self, task_state: _LiveTask, submission: Submission
     ) -> bool:
-        from repro.hardware.pools import AllocationError
-
         obj = task_state.obj
         placement = task_state.placement
         pool = self.datacenter.pool(placement.device_type)
@@ -1279,21 +1266,7 @@ class UDCRuntime:
             return False
         self._track(submission, alloc)
         obj.allocations.append(alloc)
-        unit = self.bundles.assemble(
-            compute=alloc,
-            memory=placement.unit.memory,
-            env_kind=placement.unit.environment.kind,
-            tenant=obj.tenant,
-            single_tenant=single,
-        )
-        hedge_placement = TaskPlacement(
-            obj=obj,
-            device_type=placement.device_type,
-            amount=alloc.amount,
-            unit=unit,
-            compute_rate=candidate.spec.compute_rate,
-        )
-        task_state.hedge_placement = hedge_placement
+        hedge_placement = self._rebind(placement, alloc)
         obj.record.hedges += 1
         self.telemetry.inc("udc_hedges_total")
         self.telemetry.event(
@@ -1319,95 +1292,37 @@ class UDCRuntime:
         submission: Submission,
         placement: TaskPlacement,
     ):
-        """The speculative duplicate: same work, different device.
+        """The speculative duplicate: the same attempt, different device.
 
         First finisher (this or the primary) wins via
         :meth:`_finish_task`; the loser is interrupted with
         :class:`HedgeCancelled`.  A hedge never retries — it IS the
         retry."""
         obj = task_state.obj
-        task: TaskModule = obj.module
-        record = obj.record
-        env = placement.unit.environment
         hedge_span = self.telemetry.span_start(
             self.sim.now, obj.name, "hedge", "hedge",
             parent=task_state.span,
             device=placement.unit.compute.device.device_id,
         )
-        env_span = None
         try:
-            t0 = self.sim.now
-            env_span = self.telemetry.span_start(
-                self.sim.now, obj.name, "env-acquire", "env-acquire",
-                parent=hedge_span, env=env.kind.value,
-                warm=env.from_warm_pool,
+            finished = yield from self._attempt(
+                task_state, submission, placement, hedge_span, hedge=True
             )
-            yield self.sim.timeout(env.startup_time())
-            env.state = EnvState.RUNNING
-            env.started_at = self.sim.now
-            record.startup_s += self.sim.now - t0
-            self.telemetry.observe("udc_env_startup_seconds",
-                                   self.sim.now - t0)
-            self.telemetry.span_end(env_span, self.sim.now)
-            env_span = None
-
-            t0 = self.sim.now
-            yield from self._pull_inputs(
-                obj, placement, submission.dag, submission.objects,
-                submission.stores,
-            )
-            record.transfer_s += self.sim.now - t0
-
-            native = task.execution_seconds(
-                placement.device_type,
-                placement.unit.effective_compute_amount,
-                placement.compute_rate,
-            )
-            wall_full = env.compute_time(native)
-            progress = 0.0
-            while progress < 1.0 - 1e-12:
-                step = min(TELEMETRY_CHUNK, 1.0 - progress)
-                t0 = self.sim.now
-                yield self.sim.timeout(
-                    wall_full * step
-                    * placement.unit.compute.device.slow_factor
-                )
-                record.compute_s += self.sim.now - t0
-                progress += step
-                if task_state.completion.triggered:
-                    self.telemetry.span_end(hedge_span, self.sim.now,
-                                            status="cancelled")
-                    return None
-
-            t0 = self.sim.now
-            yield from self._push_outputs(
-                obj, placement, submission.dag, submission.stores
-            )
-            record.transfer_s += self.sim.now - t0
         except Interrupt as interrupt:
             cause = interrupt.cause
-            self.telemetry.span_end(env_span, self.sim.now,
-                                    status="interrupted")
-            if isinstance(cause, Failure) and cause.kind == "crash":
+            if not (isinstance(cause, Failure) and cause.kind == "crash"):
+                # HedgeCancelled / DeadlineMiss: the winner (or the
+                # deadline handler) releases everything.
+                finished = False
+            else:
                 # The hedge's device crashed under it: give back its
                 # allocation and let the monitor decide whether to
                 # re-hedge.  The primary is unaffected.
                 self.telemetry.span_end(hedge_span, self.sim.now,
                                         status="error")
-                record.failures += 1
-                self.telemetry.inc("udc_failures_total")
+                self._record_failure(obj, placement, cause,
+                                     "hedge attempt lost: ")
                 self.telemetry.inc("udc_hedge_losses_total")
-                self.telemetry.event(
-                    self.sim.now, obj.name, "failure",
-                    f"hedge attempt lost: cause={cause}",
-                )
-                if self.breakers.record_failure(
-                    placement.unit.compute.device.device_id, self.sim.now
-                ):
-                    self.telemetry.event(
-                        self.sim.now, obj.name, "breaker_open",
-                        f"device {placement.unit.compute.device.device_id}",
-                    )
                 alloc = placement.unit.compute
                 if not alloc.released:
                     self._settle(alloc)
@@ -1415,27 +1330,26 @@ class UDCRuntime:
                 if alloc in obj.allocations:
                     obj.allocations.remove(alloc)
                 task_state.hedge_process = None
-                task_state.hedge_placement = None
-            else:
-                # HedgeCancelled / DeadlineMiss: the winner (or the
-                # deadline handler) releases everything.
-                self.telemetry.span_end(hedge_span, self.sim.now,
-                                        status="cancelled")
+                return None
+        if not finished:
+            self.telemetry.span_end(hedge_span, self.sim.now,
+                                    status="cancelled")
             return None
-
         result = self._invoke_fn(obj, submission)
         self.telemetry.span_end(hedge_span, self.sim.now)
-        self._finish_task(task_state, submission, result, winner="hedge")
+        self._finish_task(task_state, submission, result, winner="hedge",
+                          placement=placement)
         return result
 
-    def _pull_inputs(self, obj, placement, dag, objects, stores):
+    def _pull_inputs(self, obj, placement, submission):
         """Transfer every incoming edge's bytes to the task's location,
         paying data-protection costs declared by the *source*."""
         my_location = placement.unit.location
-        for edge in dag.edges:
+        stores = submission.stores
+        for edge in submission.dag.edges:
             if edge.dst != obj.name or edge.bytes_transferred <= 0:
                 continue
-            source = objects.get(edge.src)
+            source = submission.objects.get(edge.src)
             if source is None:
                 continue
             protection = self._protection_of(source)
@@ -1452,12 +1366,13 @@ class UDCRuntime:
                 yield self.sim.timeout(cost)
                 obj.record.protection_s += cost
 
-    def _push_outputs(self, obj, placement, dag, stores):
+    def _push_outputs(self, obj, placement, submission):
         """Write every outgoing task→data edge through the data module's
         store protocol, paying this task's protection costs on egress."""
         my_location = placement.unit.location
         protection = self._protection_of(obj)
-        for edge in dag.edges:
+        stores = submission.stores
+        for edge in submission.dag.edges:
             if edge.src != obj.name or edge.bytes_transferred <= 0:
                 continue
             if protection.any_enabled:
@@ -1522,29 +1437,33 @@ class UDCRuntime:
         if replacement is None:
             return False
         obj.record.migrations += 1
-        old_memory = old_placement.unit.memory
-        unit = self.bundles.assemble(
-            compute=replacement,
-            memory=old_memory,
-            env_kind=old_placement.unit.environment.kind,
-            tenant=obj.tenant,
-            single_tenant=old_placement.unit.environment.single_tenant,
-        )
-        obj.environment = unit.environment
-        task_state.placement = TaskPlacement(
-            obj=obj,
-            device_type=old_placement.device_type,
-            amount=replacement.amount,
-            unit=unit,
-            compute_rate=replacement.device.spec.compute_rate,
-        )
-        # Cold-start the new environment (charged in the retry loop).
+        task_state.placement = self._rebind(old_placement, replacement)
+        obj.environment = task_state.placement.unit.environment
+        # Cold-start the new environment (charged in the retry attempt).
         self.telemetry.event(
             self.sim.now, obj.name, "migrate",
             lambda: f"-> {replacement.device.device_id}",
         )
         yield self.sim.timeout(0)  # keep this a generator
         return True
+
+    def _rebind(self, placement: TaskPlacement, compute) -> TaskPlacement:
+        """``placement`` with its unit rebuilt around the ``compute``
+        allocation: same memory, environment kind and tenancy."""
+        unit = placement.unit
+        return TaskPlacement(
+            obj=placement.obj,
+            device_type=placement.device_type,
+            amount=compute.amount,
+            unit=self.bundles.assemble(
+                compute=compute,
+                memory=unit.memory,
+                env_kind=unit.environment.kind,
+                tenant=placement.obj.tenant,
+                single_tenant=unit.environment.single_tenant,
+            ),
+            compute_rate=compute.device.spec.compute_rate,
+        )
 
     def _on_domain_failure(self, failure, domain) -> None:
         """Failure listener: re-replicate any store that lost replicas.

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import AnalysisError
-from repro.core.runtime import UDCRuntime
 from repro.core.telemetry import Telemetry
 from repro.execenv.warmpool import WarmPool
 from repro.hardware.topology import DatacenterSpec, build_datacenter
@@ -172,30 +171,18 @@ class ReplayRunner:
         )
         policy = (WeightedFairShare() if config.policy == "fair"
                   else FifoAdmission())
-        if config.cells > 1:
-            # Sharded control plane: the service partitions the
-            # datacenter itself; telemetry/rng/warm-pool are shared
-            # across cell runtimes, so the fingerprints below still
-            # cover the whole run.
-            return UDCService(
-                datacenter, policy=policy, batched=config.batched,
-                lint=config.lint, cells=config.cells,
-                autopilot=config.autopilot,
-                rng=RngRegistry(config.seed),
-                warm_pool=WarmPool(enabled=config.warm),
-                prewarm=config.warm,
-                telemetry=Telemetry(enabled=config.telemetry),
-            )
-        runtime = UDCRuntime(
-            datacenter,
+        # With several cells the service partitions the datacenter
+        # itself; telemetry/rng/warm-pool are shared across cell
+        # runtimes, so the fingerprints below still cover the whole run.
+        return UDCService(
+            datacenter, policy=policy, batched=config.batched,
+            lint=config.lint, cells=config.cells,
+            autopilot=config.autopilot,
             rng=RngRegistry(config.seed),
             warm_pool=WarmPool(enabled=config.warm),
             prewarm=config.warm,
             telemetry=Telemetry(enabled=config.telemetry),
         )
-        return UDCService(runtime=runtime, policy=policy,
-                          batched=config.batched, lint=config.lint,
-                          autopilot=config.autopilot)
 
     def _apply(self, service: UDCService, command: Command,
                eid: int) -> Dict[str, Any]:

@@ -126,3 +126,24 @@ def test_heal_of_shared_store_bills_owner():
     # All meters close once the standing service is decommissioned.
     runtime.decommission(deployment)
     assert not runtime._owner_of
+
+
+def test_preempted_invocation_redeploys_onto_the_shared_store():
+    """Preemption re-queues an invocation with its attach_stores: the
+    redeploy writes into the standing journal, not a private copy."""
+    runtime = UDCRuntime(build_datacenter(SPEC))
+    deployment = deploy_state(runtime)
+    store = deployment.stores["journal"]
+    invocation = runtime.submit(writer_app("p"), None, tenant="svc",
+                                attach_stores=deployment.stores)
+    runtime.sim.run(until=runtime.sim.now + 0.1)
+    assert runtime.preempt(invocation, by_tenant="firm")
+    runtime.drain()
+
+    assert invocation.status == "done"
+    assert invocation.preemptions == 1
+    assert invocation.stores["journal"] is store
+    assert invocation.objects["journal"].allocations == []
+    assert len([op for op in store.op_log if op.op == "write"]) == 1
+    # Still exactly one placement of the journal.
+    assert runtime.datacenter.pool(DeviceType.SSD).total_used == 10.0

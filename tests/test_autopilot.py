@@ -319,6 +319,29 @@ def test_firm_submission_preempts_running_spot_work():
     assert service.check_budget_accounting() == []
 
 
+def test_spot_evicted_before_its_task_first_runs_stands_down_cleanly():
+    """Both dispatch rounds run before the clock moves, so the spot
+    task's process first runs after its eviction: it must still stand
+    down through the Preempted path and leave no span running."""
+    service = UDCService(build_datacenter(TINY))
+    service.register_tenant("spot", tenant_spec().spot())
+    service.register_tenant("firm", TenantSpec())
+    s_app, s_spec = gpu_job("spotjob", work=50.0)
+    spot = service.submit("spot", s_app, s_spec)
+    service.dispatch_round()
+    f_app, f_spec = gpu_job("firmjob", work=5.0)
+    service.submit("firm", f_app, f_spec)
+    service.dispatch_round()
+    assert service.preemptions == 1
+    service.drain()
+
+    assert spot.status == "done"
+    telemetry = service.telemetry
+    assert [e.detail for e in telemetry.events_of("preempted")
+            if e.module == "train"] == ["capacity reclaimed for firm"]
+    assert [s for s in telemetry.spans if s.status == "running"] == []
+
+
 def test_spot_never_preempts_spot():
     service = UDCService(build_datacenter(TINY))
     service.register_tenant("s1", tenant_spec().spot())

@@ -400,8 +400,21 @@ def test_fig2_golden_span_tree_hedged_module(fig2_run):
     assert hedge.status == "ok"
     assert hedge.parent_id == root.span_id
     assert hedge.start_s > primary.start_s
-    hedge_children = [(s.name, s.status) for s in children[hedge.span_id]]
-    assert ("env-acquire", "ok") in hedge_children
+    # A hedge runs the same attempt phases as the primary.
+    hedge_children = [(s.name, s.phase, s.status)
+                      for s in children[hedge.span_id]]
+    assert hedge_children == [
+        ("env-acquire", "env-acquire", "ok"),
+        ("transfer-in", "execute", "ok"),
+        ("execute", "execute", "ok"),
+        ("transfer-out", "execute", "ok"),
+    ]
+
+
+def test_fig2_no_span_left_running(fig2_run):
+    runtime, _result = fig2_run
+    assert [s for s in runtime.telemetry.spans if s.status == "running"] \
+        == []
 
 
 def test_fig2_metrics_snapshot(fig2_run):

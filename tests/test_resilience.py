@@ -26,6 +26,7 @@ from repro.distsem.resilience import (
     HedgePolicy,
     RetryPolicy,
 )
+from repro.hardware.devices import DeviceType
 from repro.hardware.fabric import Location
 from repro.hardware.topology import DatacenterSpec, build_datacenter
 from repro.simulator.rng import RngRegistry
@@ -315,7 +316,6 @@ def test_checkpoint_restore_without_store_degrades_to_rerun():
 
 def test_checkpoint_restore_without_snapshot_degrades_to_rerun():
     from repro.distsem.checkpoint import CheckpointStore
-    from repro.hardware.devices import DeviceType
 
     dc = build_datacenter(SPEC)
     store = CheckpointStore(dc.sim, dc.fabric,
@@ -393,6 +393,53 @@ def test_hedge_not_launched_when_primary_is_fast():
     assert result.outputs["job"] == "done"
     assert result.row("job").hedges == 0
     assert result.row("job").hedge_won is False
+
+
+def test_hedge_device_crash_loses_the_hedge_not_the_task():
+    """A crash on the hedge's own device: the hedge fails and gives its
+    allocation back, the breaker blames that device, and the straggler
+    primary still completes."""
+    runtime = UDCRuntime(
+        build_datacenter(SPEC),
+        breakers=CircuitBreakerRegistry(threshold=1, cooldown_s=10_000.0),
+    )
+    submission = runtime.submit(small_app(work=20.0),
+                                exclusive({"hedge": 1.5}))
+    primary = submission.objects["job"].primary_allocation.device
+    pool = runtime.datacenter.pool(DeviceType.CPU)
+    # Every CPU device but the primary's shares one failure domain, so
+    # failing it crashes whichever device the hedge landed on.
+    runtime.injector.domain("others").devices.extend(
+        device for device in pool.devices if device is not primary
+    )
+    runtime.injector.slow_at(1.0, "fd:job", factor=10.0)
+    runtime.injector.fail_at(40.0, "others")
+    runtime.drain()
+    result = submission.result
+    telemetry = runtime.telemetry
+
+    root = next(s for s in telemetry.spans_for("job") if s.name == "task")
+    hedge = next(s for s in telemetry.span_children()[root.span_id]
+                 if s.name == "hedge")
+    assert (hedge.status, hedge.start_s, hedge.end_s) == ("error", 30.75,
+                                                          40.0)
+    assert runtime.metrics_snapshot().value("udc_hedge_losses_total") == 1.0
+    record = result.objects["job"].record
+    assert (record.failures, record.hedges, record.hedge_won) == (1, 1, False)
+    assert record.winner == "primary"
+    assert runtime.breakers.open_keys(runtime.sim.now) \
+        == [hedge.attrs["device"]]
+    assert hedge.attrs["device"] != primary.device_id
+
+    # The hedge's allocation went back to the pool; nothing leaks.
+    pool.check_accounting()
+    assert all(p.total_used == 0.0 for p in runtime.datacenter.pools)
+    assert all(a.released for a in result.objects["job"].allocations)
+
+    # The 10x straggler primary finishes on its own: 0.5 s startup, one
+    # full-speed 5 s chunk, then three 50 s chunks.
+    assert result.outputs["job"] == "done"
+    assert result.makespan_s == pytest.approx(155.5)
 
 
 def test_breaker_opens_on_crash_and_placement_avoids_device():
