@@ -64,6 +64,10 @@ TARGETS = [
     # feed journaled fingerprints
     SRC / "core" / "runtime.py",
     SRC / "distsem",
+    # metrics snapshots and telemetry land in byte-pinned ``udc record``
+    # reports
+    SRC / "core" / "observability.py",
+    SRC / "core" / "telemetry.py",
 ]
 
 SUPPRESS_MARK = "# det: ok"

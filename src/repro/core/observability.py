@@ -228,39 +228,87 @@ def _label_key(labels: Optional[Dict[str, str]]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class Counter:
+class _Instrument:
+    """Base of the instrument kinds.  Caches the instrument's rendered
+    :meth:`MetricsRegistry.to_dict` entry; every mutation drops it and
+    marks the owning family's rendering stale too (instruments built
+    outside a registry have no family to mark)."""
+
+    __slots__ = ("_family", "_labels", "_entry")
+
+    def __init__(self, family: Optional[_Family] = None,
+                 key: LabelKey = ()):
+        self._family = family
+        #: shared by every rendering of this instrument
+        self._labels = dict(key)
+        self._entry: Optional[Dict[str, object]] = None
+
+    def _changed(self) -> None:
+        self._entry = None
+        family = self._family
+        if family is not None:
+            family.rendered = None
+
+    def entry(self) -> Dict[str, object]:
+        """This instrument's JSON entry, shared, read-only, by every
+        snapshot until the next mutation."""
+        if self._entry is None:
+            self._entry = {"labels": self._labels, **self._fields()}
+        return self._entry
+
+    def _fields(self) -> Dict[str, object]:
+        return {"value": self.value}
+
+
+class Counter(_Instrument):
     """Monotonically increasing value."""
 
     __slots__ = ("value",)
 
-    def __init__(self):
+    def __init__(self, family: Optional[_Family] = None,
+                 key: LabelKey = ()):
+        super().__init__(family, key)
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
         self.value += amount
+        self._changed()
 
 
-class Gauge:
+class Gauge(_Instrument):
     """A value that can go up and down (or be set outright)."""
 
     __slots__ = ("value",)
 
-    def __init__(self):
+    def __init__(self, family: Optional[_Family] = None,
+                 key: LabelKey = ()):
+        super().__init__(family, key)
         self.value = 0.0
 
     def set(self, value: float) -> None:
+        # Only a set that leaves the value bit-identical (same type,
+        # equal, same sign) keeps the cached rendering.  Equality alone
+        # would not do: -0.0 == 0.0 renders differently, and a NaN is
+        # never equal, so it always re-renders.
+        old = self.value
+        if type(value) is type(old) and value == old and (
+                value or math.copysign(1.0, value) == math.copysign(1.0, old)):
+            return
         self.value = value
+        self._changed()
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
+        self._changed()
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
+        self._changed()
 
 
-class Histogram:
+class Histogram(_Instrument):
     """Cumulative-bucket histogram (Prometheus semantics).
 
     ``bucket_counts[i]`` counts observations ``<= buckets[i]``; the
@@ -269,7 +317,9 @@ class Histogram:
 
     __slots__ = ("buckets", "bucket_counts", "sum", "count")
 
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
+    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
+                 family: Optional[_Family] = None, key: LabelKey = ()):
+        super().__init__(family, key)
         self.buckets = tuple(sorted(buckets))
         self.bucket_counts = [0] * len(self.buckets)
         self.sum = 0.0
@@ -281,6 +331,15 @@ class Histogram:
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 self.bucket_counts[i] += 1
+        self._changed()
+
+    def _fields(self) -> Dict[str, object]:
+        buckets: Dict[str, object] = {
+            f"{bound:g}": count
+            for bound, count in zip(self.buckets, self.bucket_counts)
+        }
+        buckets["+Inf"] = self.count
+        return {"buckets": buckets, "sum": self.sum, "count": self.count}
 
     def quantile(self, q: float) -> float:
         """Estimated q-quantile from the cumulative buckets (upper bound)."""
@@ -304,6 +363,30 @@ class _Family:
     help: str
     buckets: Tuple[float, ...] = DEFAULT_BUCKETS
     instruments: Dict[LabelKey, object] = field(default_factory=dict)
+    #: the family's :meth:`MetricsRegistry.to_dict` entry, cached until
+    #: one of its instruments changes or a new one joins (then None)
+    rendered: Optional[Dict[str, object]] = field(default=None, repr=False)
+    #: the instruments in label-key order; None after one joins
+    ordered: Optional[List[_Instrument]] = field(default=None, repr=False)
+
+    def add(self, key: LabelKey, instrument: _Instrument) -> _Instrument:
+        self.instruments[key] = instrument
+        self.ordered = self.rendered = None
+        return instrument
+
+    def render(self) -> Dict[str, object]:
+        """The family's JSON entry, rendered on the first read after a
+        change and shared, read-only, by every snapshot until the next.
+        Re-rendering reuses the entries of unchanged instruments."""
+        if self.rendered is None:
+            if self.ordered is None:
+                self.ordered = [self.instruments[key]
+                                for key in sorted(self.instruments)]
+            self.rendered = {
+                "type": self.kind, "help": self.help,
+                "values": [instrument.entry() for instrument in self.ordered],
+            }
+        return self.rendered
 
 
 class MetricsRegistry:
@@ -311,7 +394,7 @@ class MetricsRegistry:
 
     Instruments are created on first use; a name is bound to one kind for
     the registry's lifetime (mixing kinds raises).  Rendering never
-    mutates state, so snapshots are safe to take mid-run.
+    changes a metric value, so snapshots are safe to take mid-run.
     """
 
     def __init__(self):
@@ -339,7 +422,7 @@ class MetricsRegistry:
         key = _label_key(labels)
         instrument = family.instruments.get(key)
         if instrument is None:
-            instrument = family.instruments[key] = Counter()
+            instrument = family.add(key, Counter(family, key))
         return instrument
 
     def gauge(self, name: str, labels: Optional[Dict[str, str]] = None,
@@ -348,7 +431,7 @@ class MetricsRegistry:
         key = _label_key(labels)
         instrument = family.instruments.get(key)
         if instrument is None:
-            instrument = family.instruments[key] = Gauge()
+            instrument = family.add(key, Gauge(family, key))
         return instrument
 
     def histogram(self, name: str, labels: Optional[Dict[str, str]] = None,
@@ -358,7 +441,8 @@ class MetricsRegistry:
         key = _label_key(labels)
         instrument = family.instruments.get(key)
         if instrument is None:
-            instrument = family.instruments[key] = Histogram(family.buckets)
+            instrument = family.add(
+                key, Histogram(family.buckets, family, key))
         return instrument
 
     # -- reads ---------------------------------------------------------------
@@ -430,31 +514,18 @@ class MetricsRegistry:
     def to_dict(self, include_wall_clock: bool = False) -> Dict[str, object]:
         """JSON-serializable snapshot, keyed by metric name.
 
+        The outer dict is fresh on every call and holds the values at
+        call time.  The per-family dicts inside it are shared with
+        earlier and later snapshots until that family changes, so they
+        are read-only, and a snapshot re-renders only the families that
+        changed since the last one.
+
         Wall-clock families (:data:`WALL_CLOCK_METRICS`) are skipped
         unless ``include_wall_clock`` — they vary run to run and would
         break byte-identical report reproducibility.
         """
-        out: Dict[str, object] = {}
-        for family in self.families():
-            if not include_wall_clock and family.name in WALL_CLOCK_METRICS:
-                continue
-            values = []
-            for key in sorted(family.instruments):
-                instrument = family.instruments[key]
-                entry: Dict[str, object] = {"labels": dict(key)}
-                if isinstance(instrument, Histogram):
-                    entry["buckets"] = {
-                        f"{bound:g}": count
-                        for bound, count in zip(instrument.buckets,
-                                                instrument.bucket_counts)
-                    }
-                    entry["buckets"]["+Inf"] = instrument.count
-                    entry["sum"] = instrument.sum
-                    entry["count"] = instrument.count
-                else:
-                    entry["value"] = instrument.value
-                values.append(entry)
-            out[family.name] = {
-                "type": family.kind, "help": family.help, "values": values,
-            }
-        return out
+        return {
+            family.name: family.render()
+            for family in self.families()
+            if include_wall_clock or family.name not in WALL_CLOCK_METRICS
+        }

@@ -63,8 +63,10 @@ class RunResult:
     fabric_bytes: int = 0
     warm_hits: int = 0
     warm_misses: int = 0
-    #: MetricsRegistry.to_dict() snapshot taken at collection time
-    #: (None when the run executed with telemetry disabled)
+    #: MetricsRegistry.to_dict() snapshot: the values at collection
+    #: time (None when the run executed with telemetry disabled).  Its
+    #: per-family dicts are shared with other results' snapshots, so
+    #: they are read-only
     metrics: Optional[Dict] = None
 
     def row(self, name: str) -> ModuleRow:

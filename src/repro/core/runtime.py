@@ -38,7 +38,7 @@ from repro.core.bundle import BundleManager
 from repro.core.conflicts import ConflictPolicy, ConflictResolution, resolve_conflicts
 from repro.core.defaults import provider_defaults
 from repro.core.objects import UDCObject
-from repro.core.observability import MetricsRegistry, Span
+from repro.core.observability import NULL_SPAN, MetricsRegistry, Span
 from repro.core.report import ModuleRow, RunResult
 from repro.core.scheduler import SchedulerError, TaskPlacement, UdcScheduler
 from repro.core.spec import UserDefinition, parse_definition
@@ -152,6 +152,10 @@ class Submission:
                                                repr=False)
     #: times this submission's resources were reclaimed for firm work
     preemptions: int = 0
+    #: the lifecycle root span of every task run of this submission, in
+    #: start order (a preempted deployment's spans stay; empty when
+    #: telemetry is disabled)
+    spans: List[Span] = field(default_factory=list, repr=False)
 
     @property
     def done(self) -> bool:
@@ -833,6 +837,8 @@ class UDCRuntime:
             self.sim.now, obj.name, "task", "lifecycle",
             tenant=obj.tenant, app=submission.dag.name,
         )
+        if root_span is not NULL_SPAN:
+            submission.spans.append(root_span)
         while True:
             try:
                 if attempts:

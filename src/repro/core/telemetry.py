@@ -11,12 +11,15 @@ samples, the run report and ``udc trace`` consume spans, ``udc metrics``
 consumes the registry, and the pool set's time-weighted utilization
 supplies the E2/E4 metrics.  Reads (``samples_for``, ``events_of``,
 ``spans_for``) are served from incrementally-maintained indexes, not
-full-log scans.
+full-log scans, and ``mean_utilization`` from a running per-module sum,
+so the per-submission cost of the tuner's reads does not grow with how
+long the service has been up.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
@@ -35,6 +38,44 @@ Detail = Union[str, Callable[[], str]]
 #: allocated division can land at 1 + 1e-16 — or, symmetrically, at
 #: -1e-16 after a subtractive correction — without being a caller bug).
 _UTIL_EPS = 1e-9
+
+#: Whether the builtin ``sum()`` of floats is compensated (Neumaier
+#: summation, CPython 3.12+) or a plain left-to-right fold.  The running
+#: utilization sum follows the same algorithm, so ``mean_utilization``
+#: reads bit for bit what a re-sum of the sample log would.
+_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+
+
+class _RunningSum:
+    """``sum(values) / len(values)`` over an append-only stream, O(1)
+    per append and per read, in the builtin ``sum()``'s arithmetic."""
+
+    __slots__ = ("total", "compensation", "count")
+
+    def __init__(self):
+        # sum() starts from the int 0; 0 + x == 0.0 + x for every float
+        # x (both turn -0.0 into 0.0).
+        self.total = 0.0
+        self.compensation = 0.0
+        self.count = 0
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        total = self.total + value
+        if _COMPENSATED_SUM:
+            if abs(self.total) >= abs(value):
+                self.compensation += (self.total - total) + value
+            else:
+                self.compensation += (value - total) + self.total
+        self.total = total
+
+    def mean(self) -> float:
+        total = self.total
+        # sum() adds the compensation back only when it is non-zero and
+        # finite, so a negative or infinite total keeps its sign.
+        if self.compensation and math.isfinite(self.compensation):
+            total += self.compensation
+        return total / self.count
 
 
 @dataclass(frozen=True)
@@ -76,6 +117,7 @@ class Telemetry:
         self.events: List[TelemetryEvent] = []
         self.spans: List[Span] = []
         self._samples_by_module: Dict[str, List[Sample]] = {}
+        self._utilization: Dict[str, _RunningSum] = {}
         self._events_by_kind: Dict[str, List[TelemetryEvent]] = {}
         self._spans_by_module: Dict[str, List[Span]] = {}
         self._span_ids = itertools.count()
@@ -99,6 +141,10 @@ class Telemetry:
         )
         self.samples.append(sample)
         self._samples_by_module.setdefault(module, []).append(sample)
+        running = self._utilization.get(module)
+        if running is None:
+            running = self._utilization[module] = _RunningSum()
+        running.add(sample.compute_utilization)
 
     def event(self, time: float, module: str, kind: str,
               detail: Detail = "") -> None:
@@ -118,10 +164,11 @@ class Telemetry:
         return list(self._events_by_kind.get(kind, ()))
 
     def mean_utilization(self, module: str) -> Optional[float]:
-        samples = self._samples_by_module.get(module)
-        if not samples:
-            return None
-        return sum(s.compute_utilization for s in samples) / len(samples)
+        """Mean compute utilization over every sample of ``module`` (None
+        before the first), O(1): read from the running sum, which equals
+        ``sum(...) / len(...)`` over :meth:`samples_for` bit for bit."""
+        running = self._utilization.get(module)
+        return running.mean() if running is not None else None
 
     def counts(self) -> Dict[str, int]:
         return {

@@ -735,20 +735,17 @@ class UDCGateway:
         watch.done = True
 
     def _spans_of(self, handle: SubmissionHandle) -> List[Any]:
-        """Closed lifecycle spans for the handle's tenant + app.
+        """The closed lifecycle spans of the handle's own submission.
 
-        A linear scan of the span log — acceptable because streams are
-        a debugging/watching surface; fleet-scale runs serve with
-        telemetry disabled, where the log is empty.
+        Read from the runtime :class:`~repro.core.runtime.Submission`,
+        which keeps its task root spans, so a repeated (tenant, app)
+        streams only its own spans and the cost does not grow with the
+        span log.  Cache hits and undispatched handles have none.
         """
-        if handle.cached:
+        if handle.cached or handle.submission is None:
             return []
-        return [
-            span for span in self.telemetry.spans
-            if span.phase == "lifecycle" and span.end_s is not None
-            and span.attrs.get("tenant") == handle.tenant
-            and span.attrs.get("app") == handle.app
-        ]
+        return [span for span in handle.submission.spans
+                if span.end_s is not None]
 
 
 def _jsonable(value: Any) -> bool:

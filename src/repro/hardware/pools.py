@@ -121,6 +121,9 @@ class ResourcePool:
         #: None for unsharded pools — label sets stay byte-identical to
         #: the pre-cells output in that case.
         self.cell: Optional[str] = None
+        #: ``(registry, cell, gauges)`` of the last collect_metrics: the
+        #: gauge handles, kept so a snapshot does no label lookups
+        self._gauges: Optional[Tuple[object, Optional[str], tuple]] = None
 
         self.indexed = indexed
         # Live-capacity accounting (devices that are not failed), kept
@@ -548,16 +551,23 @@ class ResourcePool:
         placement fast path pays nothing for metrics.  All values come
         from the incrementally-maintained aggregates.
         """
-        labels = {"device_type": self.device_type.value}
-        if self.cell is not None:
-            labels["cell"] = self.cell
-        registry.gauge("udc_pool_capacity_units", labels).set(
-            self.total_capacity)
-        registry.gauge("udc_pool_used_units", labels).set(self.total_used)
-        registry.gauge("udc_pool_peak_used_units", labels).set(self.peak_used)
-        registry.gauge("udc_pool_utilization", labels).set(self.utilization())
-        registry.gauge("udc_pool_mean_utilization", labels).set(
-            self.mean_utilization())
+        cached = self._gauges
+        if (cached is None or cached[0] is not registry
+                or cached[1] != self.cell):
+            labels = {"device_type": self.device_type.value}
+            if self.cell is not None:
+                labels["cell"] = self.cell
+            cached = self._gauges = (registry, self.cell, tuple(
+                registry.gauge(name, labels) for name in (
+                    "udc_pool_capacity_units", "udc_pool_used_units",
+                    "udc_pool_peak_used_units", "udc_pool_utilization",
+                    "udc_pool_mean_utilization")))
+        capacity, used, peak, utilization, mean = cached[2]
+        capacity.set(self.total_capacity)
+        used.set(self.total_used)
+        peak.set(self.peak_used)
+        utilization.set(self.utilization())
+        mean.set(self.mean_utilization())
 
     def _spec(self) -> Optional[DeviceSpec]:
         return self.devices[0].spec if self.devices else None

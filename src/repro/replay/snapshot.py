@@ -16,9 +16,9 @@ inert stub and hard-fails on any *live* generator frame — the invariant
 is enforced, not assumed.  Python cannot serialize a suspended generator
 frame, which is exactly why the boundary exists.
 
-**File format** (version 1)::
+**File format** (version 2)::
 
-    {"format": "udc-snapshot", "version": 1, "eid": 41,
+    {"format": "udc-snapshot", "version": 2, "eid": 41,
      "payload_bytes": 123456, "sha256": "..."}\\n
     <pickle payload>
 
@@ -49,7 +49,10 @@ __all__ = [
     "snapshot_path",
 ]
 
-SNAPSHOT_VERSION = 1
+#: Bumped whenever a pickled class changes shape (2: metric instruments
+#: cache their rendering), so a snapshot written by another build is
+#: skipped on resume instead of restored into objects it does not fit.
+SNAPSHOT_VERSION = 2
 _FORMAT = "udc-snapshot"
 
 

@@ -397,3 +397,36 @@ def test_tenant_registration_builds_a_spec():
         return True
 
     assert run_gateway(scenario)
+
+
+# ------------------------------------- regression: per-submission spans
+
+
+def test_repeated_submission_streams_only_its_own_spans():
+    """A second submission of the same (tenant, app) streams its own
+    lifecycle spans, not its predecessor's as well."""
+
+    async def scenario(gateway, service):
+        streamed = []
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            session = await client.stream()
+            for run in range(2):
+                accepted = await client.submit(
+                    "repeater", {"archetype": "web", "tag": "same"},
+                    inputs={"run": run})
+                await session.watch(accepted["seq"])
+                streamed.append([
+                    event["span"]
+                    async for event in session.events_until_result(
+                        accepted["seq"])
+                    if event["event"] == "span"])
+            await session.close()
+        return streamed, service.handles
+
+    (first, second), handles = run_gateway(scenario)
+    assert [h.app for h in handles] == [handles[0].app] * 2
+    assert first and len(second) == len(first)
+    first_ids = {span["span_id"] for span in first}
+    assert not first_ids & {span["span_id"] for span in second}
+    own = handles[1].submission.spans
+    assert [span["span_id"] for span in second] == [s.span_id for s in own]

@@ -10,6 +10,7 @@ medical pipeline with one retried module (A4) and one hedged module (B2).
 
 import json
 import math
+import random
 
 import pytest
 
@@ -29,8 +30,13 @@ from repro.economics.cost import compare_costs
 from repro.execenv.environments import EnvKind
 from repro.execenv.warmpool import WarmPool
 from repro.hardware.topology import DatacenterSpec, build_datacenter
+from repro.service import TenantSpec, UDCService
 from repro.simulator.rng import RngRegistry
 from repro.workloads.medical import build_medical_app
+from repro.workloads.tenants import (
+    default_tenant_profiles,
+    generate_tenant_trace,
+)
 
 SPEC = DatacenterSpec(pods=1, racks_per_pod=4)
 
@@ -277,6 +283,150 @@ def test_to_dict_excludes_wall_clock_families_by_default():
     for name in WALL_CLOCK_METRICS:
         assert name in full
     json.dumps(full)  # serializable either way
+
+
+def _eager_render(registry, include_wall_clock=False):
+    """Reference snapshot: every family rendered from scratch, sharing
+    nothing with the registry's cached renderings."""
+    out = {}
+    for family in registry.families():
+        if not include_wall_clock and family.name in WALL_CLOCK_METRICS:
+            continue
+        values = []
+        for key in sorted(family.instruments):
+            instrument = family.instruments[key]
+            entry = {"labels": dict(key)}
+            if family.kind == "histogram":
+                entry["buckets"] = {
+                    f"{bound:g}": count for bound, count in zip(
+                        instrument.buckets, instrument.bucket_counts)}
+                entry["buckets"]["+Inf"] = instrument.count
+                entry["sum"] = instrument.sum
+                entry["count"] = instrument.count
+            else:
+                entry["value"] = instrument.value
+            values.append(entry)
+        out[family.name] = {"type": family.kind, "help": family.help,
+                            "values": values}
+    return out
+
+
+def test_earlier_snapshot_unchanged_by_later_activity():
+    registry = MetricsRegistry()
+    registry.counter("c", {"k": "a"}).inc()
+    registry.gauge("g").set(0.5)
+    registry.histogram("h").observe(0.2)
+    registry.counter("still").inc()
+    registry.counter("lazy", {"k": "a"})
+    registry.gauge("idle", {"k": "a"})
+    first = registry.to_dict()
+    first_bytes = json.dumps(first)
+
+    registry.counter("c", {"k": "a"}).inc(2.0)
+    registry.counter("c", {"k": "b"}).inc()     # new instrument
+    registry.gauge("g").dec(0.25)
+    registry.histogram("h").observe(7.0)
+    registry.counter("added").inc()              # new family
+    # New instruments with no update yet still show up.
+    registry.counter("lazy", {"k": "b"})
+    registry.gauge("idle", {"k": "b"})
+    second = registry.to_dict()
+
+    assert json.dumps(first) == first_bytes
+    assert second is not first
+    assert json.dumps(second) == json.dumps(_eager_render(registry))
+    # Copy-on-write: an untouched family's dict is shared, a touched
+    # family's is a new one.
+    assert second["still"] is first["still"]
+    assert second["c"] is not first["c"]
+    assert second["c"]["values"][1]["value"] == 1.0
+
+
+def test_gauge_signed_zero_and_nan_render_exactly():
+    registry = MetricsRegistry()
+    gauge = registry.gauge("g")
+    rendered = []
+    for value in (-0.0, 0.0, float("nan"), float("nan"), -0.0):
+        gauge.set(value)
+        rendered.append(
+            json.dumps(registry.to_dict()["g"]["values"][0]["value"]))
+    assert rendered == ["-0.0", "0.0", "NaN", "NaN", "-0.0"]
+    # Only a bit-identical set keeps the cached rendering.
+    gauge.set(0.5)
+    before = registry.to_dict()["g"]
+    gauge.set(0.5)
+    assert registry.to_dict()["g"] is before
+    gauge.set(1.0)
+    registry.to_dict()
+    gauge.set(1)                           # equal, but renders as 1
+    assert json.dumps(registry.to_dict()["g"]["values"][0]["value"]) == "1"
+
+
+def test_mean_utilization_equals_resum_bit_for_bit():
+    rng = random.Random(20)
+    telemetry = Telemetry()
+    modules = ("a", "b", "c")
+    assert telemetry.mean_utilization("a") is None
+    # Clamped edges (float noise either side of [0, 1], signed zero), a
+    # run of values too small to move a plain running sum (where a
+    # compensated sum differs), and a seeded uniform stream.
+    edges = [-1e-12, 1.0 + 1e-12, -0.0, 0.0, 1.0, 5e-324, 1e-300]
+    stream = edges + [1e-16] * 50 + [rng.random() for _ in range(2000)]
+    rng.shuffle(stream)
+    for step, value in enumerate(stream):
+        module = modules[rng.randrange(len(modules))]
+        telemetry.sample(float(step), module, value, allocated_amount=1.0)
+        samples = telemetry.samples_for(module)
+        expected = (sum(s.compute_utilization for s in samples)
+                    / len(samples))
+        assert telemetry.mean_utilization(module).hex() == expected.hex()
+    tail = Telemetry()
+    for value in [1.0] + [1e-16] * 10:
+        tail.sample(0.0, "m", value, allocated_amount=1.0)
+    expected = sum(s.compute_utilization for s in tail.samples_for("m")) / 11
+    assert tail.mean_utilization("m").hex() == expected.hex()
+
+
+def test_service_run_metrics_equal_eager_render_at_collection(monkeypatch):
+    """Every RunResult.metrics of a multi-round, multi-tenant run holds
+    exactly what a from-scratch render read when it was collected, and
+    still does after the rest of the run."""
+    references = []
+    cached_to_dict = MetricsRegistry.to_dict
+
+    def recording(self, include_wall_clock=False):
+        snapshot = cached_to_dict(self, include_wall_clock)
+        references.append(
+            (snapshot, json.dumps(_eager_render(self, include_wall_clock))))
+        return snapshot
+
+    monkeypatch.setattr(MetricsRegistry, "to_dict", recording)
+    service = UDCService(build_datacenter(SPEC), telemetry=Telemetry())
+    profiles = default_tenant_profiles(count=6, seed=1)
+    for profile in profiles:
+        service.register_tenant(profile.name,
+                                TenantSpec(weight=profile.weight))
+    trace = generate_tenant_trace(profiles, peak_rate_per_minute=3.0,
+                                  horizon_s=600.0, seed=4)
+    for index, arrival in enumerate(trace.submissions, start=1):
+        service.submit(arrival.tenant, arrival.dag, arrival.definition,
+                       inputs=arrival.inputs)
+        if index % 4 == 0:
+            service.drain()
+    service.drain()
+
+    expected = {id(snapshot): rendered for snapshot, rendered in references}
+    results = [handle.result for handle in service.handles
+               if not handle.cached and handle.result is not None]
+    assert len(results) >= 10
+    tenants = {result.tenant for result in results}
+    assert len(tenants) >= 3
+    for result in results:
+        assert json.dumps(result.metrics) == expected[id(result.metrics)]
+    # Consecutive results share the families that did not change.
+    first, second = results[0].metrics, results[1].metrics
+    assert any(first[name] is second[name]
+               for name in first if name in second)
 
 
 def test_breaker_trips_feed_the_registry():
