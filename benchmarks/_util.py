@@ -7,7 +7,7 @@ doubles as a regression test on the reproduction.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Any, Callable, Iterable, List, Sequence, Tuple
 
 
 def print_table(title: str, headers: Sequence[str],
@@ -38,3 +38,28 @@ def _fmt(cell: object) -> str:
             return f"{cell:.3f}"
         return f"{cell:.5f}"
     return str(cell)
+
+
+def interleaved_pairs(
+    run_a: Callable[[], Tuple[float, Any]],
+    run_b: Callable[[], Tuple[float, Any]],
+    pairs: int = 7,
+) -> List[Tuple[float, Any, float, Any]]:
+    """Run ``run_a`` and ``run_b`` ``pairs`` times each, interleaved.
+
+    Each callable returns ``(seconds, payload)``.  The order alternates
+    (A then B, then B then A, ...) so host drift bills both sides alike;
+    returns ``[(a_seconds, a_payload, b_seconds, b_payload), ...]``.  A
+    wall-clock ratio gate takes the median of the per-pair ratios — one
+    sample measures the host as much as the code.
+    """
+    results = []
+    for index in range(pairs):
+        if index % 2 == 0:
+            a_s, a_payload = run_a()
+            b_s, b_payload = run_b()
+        else:
+            b_s, b_payload = run_b()
+            a_s, a_payload = run_a()
+        results.append((a_s, a_payload, b_s, b_payload))
+    return results

@@ -227,12 +227,6 @@ class ModuleDAG:
     def successors(self, name: str) -> List[str]:
         return [e.dst for e in self.edges if e.src == name]
 
-    def colocation_group_of(self, name: str) -> Optional[Set[str]]:
-        for group in self.colocate_groups:
-            if name in group:
-                return group
-        return None
-
     # -- graph views ------------------------------------------------------------
 
     def to_networkx(self):

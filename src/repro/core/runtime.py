@@ -87,6 +87,9 @@ class _LiveTask:
     completion: Event
     declared_amount: float
     domain_name: str = ""
+    #: upstream *tasks* this task waits for (its entry in
+    #: :meth:`~repro.appmodel.dag.ModuleDAG.effective_task_graph`)
+    upstream: List[str] = field(default_factory=list)
     #: the primary simulator process executing this task
     process: Optional[Process] = None
     #: live speculative duplicate, if a HedgePolicy launched one
@@ -140,6 +143,8 @@ class Submission:
     #: the deploy arguments, kept so a queued or preempted submission
     #: can (re)deploy through the admission queue
     definition: Any = field(default=None, repr=False)
+    #: the service's SubmissionKey; every (re)deploy reuses it
+    key: Any = field(default=None, repr=False)
     dishonest_env: Optional[Dict[str, EnvKind]] = field(default=None, repr=False)
     attach_stores: Optional[Dict[str, ReplicatedStore]] = field(default=None, repr=False)
     #: ``[(sim_time, failure_domain_name), ...]``: injected by the deploy
@@ -255,9 +260,9 @@ class UDCRuntime:
             admission_policy if admission_policy is not None
             else FifoAdmission()
         )
-        #: optional admission-template cache (duck-typed: lookup/store);
-        #: installed by UDCService in batched mode to skip re-validating
-        #: and re-resolving structurally identical applications
+        #: optional admission-template cache (duck-typed: lookup/store),
+        #: keyed by each submission's SubmissionKey; installed by
+        #: UDCService in batched mode
         self.admission_memo = None
         #: optional tenant -> tier rank hook (0 = firm, 1 = spot),
         #: installed by UDCService so admission retries favor firm work;
@@ -272,15 +277,19 @@ class UDCRuntime:
         dag: ModuleDAG,
         definition: Union[UserDefinition, Dict, None],
         tenant: str,
+        key=None,
     ) -> Tuple[Dict[str, UDCObject], ConflictResolution]:
-        """Validate, default-fill, and conflict-resolve one application."""
+        """Validate, default-fill, and conflict-resolve one application
+        (from :attr:`admission_memo` when ``key``, the submission's
+        :class:`~repro.service.cache.SubmissionKey`, is given)."""
         if hasattr(definition, "build_definition"):
             # A fluent DefinitionBuilder (repro.define()): compile it
             # through parse_definition so diagnostics are identical.
             definition = definition.build_definition()
-        memo = self.admission_memo
+        memo = self.admission_memo if key is not None else None
         if memo is not None:
-            cached = memo.lookup(dag, definition, self.conflict_policy)
+            memo_key = key.admission(self.conflict_policy)
+            cached = memo.lookup(memo_key)
             if cached is not None:
                 resolution, bundles = cached
                 objects = {
@@ -314,8 +323,7 @@ class UDCRuntime:
             bundles[name] = bundle
             objects[name] = UDCObject(module=module, aspects=bundle, tenant=tenant)
         if memo is not None:
-            memo.store(dag, definition, self.conflict_policy, resolution,
-                       bundles)
+            memo.store(memo_key, resolution, bundles)
         return objects, resolution
 
     # ------------------------------------------------------------------ placement
@@ -422,6 +430,7 @@ class UDCRuntime:
         attach_stores: Optional[Dict[str, ReplicatedStore]] = None,
         persistent: bool = False,
         queue_if_full: bool = False,
+        key=None,
     ) -> Submission:
         """Admit and deploy one application without running the clock.
 
@@ -442,13 +451,13 @@ class UDCRuntime:
         work releases resources (overload behavior, E21) instead of
         raising.  Retry order follows :attr:`admission_policy` (FIFO by
         default).  Submissions that never fit surface as
-        ``status == "unplaceable"`` at drain.
+        ``status == "unplaceable"`` at drain.  ``key``: see :meth:`admit`.
         """
         submission = Submission(
             dag=app, tenant=tenant, inputs=inputs or {},
             seq=next(self._seq_counter), persistent=persistent,
             definition=definition, dishonest_env=dishonest_env,
-            attach_stores=attach_stores, failure_plan=failure_plan,
+            attach_stores=attach_stores, failure_plan=failure_plan, key=key,
         )
         try:
             self._deploy(submission)
@@ -581,7 +590,8 @@ class UDCRuntime:
         dag = submission.dag
         tenant = submission.tenant
         dishonest_env = submission.dishonest_env
-        objects, resolution = self.admit(dag, submission.definition, tenant)
+        objects, resolution = self.admit(dag, submission.definition, tenant,
+                                         submission.key)
         submission.objects = objects
         submission.resolution = resolution
         self._prewarm_for(objects, dag)
@@ -620,6 +630,7 @@ class UDCRuntime:
                     self.injector.domain(f"fd:{name}:r{index}").devices \
                         .append(allocation.device)
         live: Dict[str, _LiveTask] = {}
+        graph = dag.effective_task_graph()
         for name, placement in placements.items():
             obj = objects[name]
             dist = obj.aspects.distributed or DistributedAspect()
@@ -633,6 +644,7 @@ class UDCRuntime:
                 completion=submission.completions[name],
                 declared_amount=placement.amount,
                 domain_name=domain_name,
+                upstream=graph.get(name, []),
             )
 
         for when, domain_name in submission.failure_plan or []:
@@ -806,12 +818,6 @@ class UDCRuntime:
 
     # -- the per-task process ----------------------------------------------------
 
-    def _task_dependencies(self, name: str, dag: ModuleDAG) -> List[str]:
-        """Upstream *tasks* this task must wait for — direct edges plus
-        acyclic data-induced orderings (see
-        :meth:`~repro.appmodel.dag.ModuleDAG.effective_task_graph`)."""
-        return dag.effective_task_graph().get(name, [])
-
     def _breaker_admits(self, device) -> bool:
         return self.breakers.allows(device.device_id, self.sim.now)
 
@@ -825,8 +831,7 @@ class UDCRuntime:
         completions = submission.completions
         # None once the task has started; all_of tolerates already-fired
         # members, so a failure mid-wait just waits again.
-        deps = [completions[d]
-                for d in self._task_dependencies(obj.name, submission.dag)
+        deps = [completions[d] for d in task_state.upstream
                 if d in completions]
         # What a crash blames: the placement the interrupted attempt ran
         # on, which moves only once a recovery completes.
@@ -891,7 +896,7 @@ class UDCRuntime:
                     self._finish_task(task_state, submission, None,
                                       winner="abandoned")
                     return None
-        result = self._invoke_fn(obj, submission)
+        result = self._invoke_fn(task_state, submission)
         self._finish_task(task_state, submission, result, winner="primary",
                           placement=placement)
         return result
@@ -1105,12 +1110,13 @@ class UDCRuntime:
         )
         return placement.unit.environment.compute_time(native)
 
-    def _invoke_fn(self, obj: UDCObject, submission: Submission):
+    def _invoke_fn(self, task_state: _LiveTask, submission: Submission):
+        obj = task_state.obj
         task: TaskModule = obj.module
         if task.fn is None:
             return None
         context = {"input": submission.inputs.get(obj.name)}
-        for dep in self._task_dependencies(obj.name, submission.dag):
+        for dep in task_state.upstream:
             context[dep] = submission.outputs.get(dep)
         try:
             return task.fn(context)
@@ -1341,7 +1347,7 @@ class UDCRuntime:
             self.telemetry.span_end(hedge_span, self.sim.now,
                                     status="cancelled")
             return None
-        result = self._invoke_fn(obj, submission)
+        result = self._invoke_fn(task_state, submission)
         self.telemetry.span_end(hedge_span, self.sim.now)
         self._finish_task(task_state, submission, result, winner="hedge",
                           placement=placement)

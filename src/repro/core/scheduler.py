@@ -227,35 +227,6 @@ class UdcScheduler:
                                        time.perf_counter() - t_wall,
                                        labels=self._metric_labels())
 
-    def place_batch(
-        self, requests: List[Tuple[Dict[str, UDCObject], ModuleDAG]]
-    ) -> List[Dict[str, TaskPlacement]]:
-        """Batch placement entry point: place several admitted apps in
-        one round.  Equivalent to calling :meth:`place_tasks` per request
-        in order — byte-identical placements — under one
-        :meth:`batch_round`."""
-        placements: List[Dict[str, TaskPlacement]] = []
-        with self.batch_round(len(requests)):
-            for objects, dag in requests:
-                placements.append(self.place_tasks(objects, dag))
-        return placements
-
-    def capacity_report(self) -> Dict[str, Dict[str, float]]:
-        """Free/total capacity per device type, in deterministic order.
-
-        A cheap planner-facing snapshot (the economic autopilot's
-        firm-vs-spot pressure signal, and ``udc serve --autopilot``
-        output): reads pool aggregates only, never scans devices.
-        """
-        report: Dict[str, Dict[str, float]] = {}
-        for pool in sorted(self.datacenter.pools,
-                           key=lambda p: p.device_type.value):
-            report[pool.device_type.value] = {
-                "free": pool.total_free,
-                "total": pool.total_capacity,
-            }
-        return report
-
     # -- data placement -------------------------------------------------------
 
     def place_data(self, obj: UDCObject) -> PlacementResult:

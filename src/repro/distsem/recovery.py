@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.distsem.checkpoint import Checkpoint, CheckpointStore
-from repro.hardware.fabric import Location
 
 __all__ = ["RecoveryOutcome", "RecoveryStrategy", "plan_recovery"]
 
@@ -64,16 +63,3 @@ def plan_recovery(
     if strategy == RecoveryStrategy.NONE:
         return RecoveryOutcome(strategy=strategy, resume_progress=0.0)
     return RecoveryOutcome(strategy=RecoveryStrategy.RERUN, resume_progress=0.0)
-
-
-def restore_process(
-    outcome: RecoveryOutcome, store: CheckpointStore, destination: Location
-):
-    """Generator: perform the restore transfer for a planned recovery.
-
-    Yields the checkpoint fetch; returns the resumed progress fraction.
-    """
-    if outcome.checkpoint is None:
-        return 0.0
-    yield from store.restore(outcome.checkpoint.module, destination)
-    return outcome.resume_progress

@@ -50,9 +50,11 @@ __all__ = [
 ]
 
 #: Bumped whenever a pickled class changes shape (2: metric instruments
-#: cache their rendering), so a snapshot written by another build is
-#: skipped on resume instead of restored into objects it does not fit.
-SNAPSHOT_VERSION = 2
+#: cache their rendering; 3: submissions carry their SubmissionKey and
+#: the admission memo lost its per-round identity table), so a snapshot
+#: written by another build is skipped on resume instead of restored
+#: into objects it does not fit.
+SNAPSHOT_VERSION = 3
 _FORMAT = "udc-snapshot"
 
 

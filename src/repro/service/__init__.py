@@ -17,6 +17,7 @@ from repro.service.cache import (
     AdmissionMemo,
     CacheStats,
     ResultCache,
+    SubmissionKey,
     dag_fingerprint,
     definition_fingerprint,
     inputs_fingerprint,
@@ -43,6 +44,7 @@ __all__ = [
     "ResultCache",
     "ResultNotReady",
     "SubmissionHandle",
+    "SubmissionKey",
     "SubmitOptions",
     "Tenant",
     "TenantQuota",

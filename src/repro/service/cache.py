@@ -1,29 +1,32 @@
-"""Fingerprints and bounded caches for the serving layer.
+"""The submission key and the bounded caches it feeds.
 
-Two caches ride on the same structural fingerprints:
+:meth:`UDCService.submit <repro.service.service.UDCService.submit>`
+fingerprints each submission once, into a :class:`SubmissionKey`: DAG
+shape, identity (app name and code hashes), definition, inputs and the
+tenant-scope decision.  Every front-door structure keys off those parts:
 
-* :class:`ResultCache` — memoizes completed executions keyed by
-  ``(dag fingerprint incl. code hashes, definition, inputs)``: a tenant
-  re-submitting byte-identical work gets the finished
-  :class:`~repro.core.report.RunResult` back without consuming capacity
-  (the provider pockets the saved cost; the tenant skips the queue).
-* :class:`AdmissionMemo` — caches the *admission* work (DAG validation,
-  definition parsing, conflict resolution, provider-default filling) for
-  structurally identical applications, keyed without code hashes, app
-  name, or tenant: two tenants submitting the same app shape share one
-  resolved template.  Placement still runs per submission against live
-  pool state, so placements are byte-identical to the uncached path.
+* :class:`ResultCache` — completed executions, keyed by all five parts:
+  a tenant re-submitting byte-identical work gets the finished
+  :class:`~repro.core.report.RunResult` back without consuming capacity.
+  Tenant-confidential apps key by tenant (:func:`requires_tenant_scope`).
+* the lint memo — a :class:`ResultCache` of analysis reports keyed by
+  shape, identity, definition and the tenant's tier.
+* :class:`AdmissionMemo` — admission templates (validation, parsing,
+  conflict resolution, provider defaults) keyed by shape, definition and
+  conflict policy only, so tenants submitting the same app shape share
+  one.  Placement still runs per submission against live pool state.
 
-Fingerprints are canonical nested tuples (hashable, order-normalized) —
-no serialization library, no timestamps, fully deterministic in-process.
+The service reads app, definition and inputs once, at ``submit()``:
+callers must not mutate them until the handle finalizes.  Fingerprints
+are canonical nested tuples (hashable, order-normalized) — no
+serialization, no timestamps, fully deterministic in-process.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.appmodel.dag import ModuleDAG
 from repro.appmodel.module import TaskModule
@@ -35,6 +38,7 @@ __all__ = [
     "AdmissionMemo",
     "CacheStats",
     "ResultCache",
+    "SubmissionKey",
     "dag_fingerprint",
     "definition_fingerprint",
     "inputs_fingerprint",
@@ -42,32 +46,37 @@ __all__ = [
 ]
 
 
+_LEAVES = (str, int, float, bool, type(None))
+
+
 def _canon(value: Any) -> Any:
     """Canonical, hashable form of a JSON-ish value (dict order ignored)."""
+    if isinstance(value, _LEAVES):
+        return value
     if isinstance(value, dict):
-        return ("d",) + tuple(
+        if all(type(k) is str for k in value):
+            # Plain-str keys sort as their str(): skip the key function.
+            return ("d", *[(k, _canon(value[k])) for k in sorted(value)])
+        return ("d", *[
             (str(k), _canon(v))
             for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        )
+        ])
     if isinstance(value, (list, tuple)):
-        return ("l",) + tuple(_canon(v) for v in value)
+        return ("l", *[_canon(v) for v in value])
     if isinstance(value, (set, frozenset)):
         return ("s",) + tuple(sorted(repr(_canon(v)) for v in value))
-    if isinstance(value, (str, int, float, bool, type(None))):
-        return value
     return repr(value)
 
 
-def dag_fingerprint(dag: ModuleDAG, include_identity: bool = True) -> Tuple:
-    """Structural fingerprint of an application DAG.
+def dag_fingerprint(dag: ModuleDAG) -> Tuple[Tuple, Tuple]:
+    """``(shape, identity)`` of an application DAG.
 
-    ``include_identity=True`` (result caching) also folds in the app name
-    and each task's ``code_hash`` so different code never shares results.
-    With ``include_identity=False`` (admission memoization) only the
-    shape that admission examines remains — everything ``validate()``,
-    conflict resolution, and provider defaults can observe.
+    ``shape`` is everything admission can observe, without the app name
+    or any code hash; ``identity`` is ``(app name, task code hashes in
+    sorted module order)``, so different code never shares results.
     """
     modules = []
+    code_hashes = []
     for name in sorted(dag.modules):
         module = dag.modules[name]
         if isinstance(module, TaskModule):
@@ -76,8 +85,8 @@ def dag_fingerprint(dag: ModuleDAG, include_identity: bool = True) -> Tuple:
                 tuple(sorted(d.value for d in module.device_candidates)),
                 module.output_bytes, module.state_bytes,
                 module.max_parallelism, module.sanitizer,
-                module.code_hash if include_identity else "",
             ))
+            code_hashes.append(module.code_hash)
         else:
             modules.append((
                 "data", name, module.size_gb, module.record_bytes,
@@ -93,49 +102,116 @@ def dag_fingerprint(dag: ModuleDAG, include_identity: bool = True) -> Tuple:
         (task, data, weight)
         for (task, data), weight in dag.affinities.items()
     ))
-    name = dag.name if include_identity else ""
-    return (name, tuple(modules), edges, groups, affinities)
+    shape = (tuple(modules), edges, groups, affinities)
+    return shape, (dag.name, tuple(code_hashes))
 
 
-def definition_fingerprint(
-    definition: "UserDefinition | Dict | None",
-) -> Tuple:
-    """Canonical key for a definition in any accepted form.
+def _keyable(definition: Any) -> "UserDefinition | Dict | None":
+    """The definition as a dict, UserDefinition or None: fluent builders
+    become the dict they compile to; anything else raises TypeError."""
+    if definition is None or isinstance(definition, (dict, UserDefinition)):
+        return definition
+    if hasattr(definition, "build_definition"):
+        return definition.to_dict()
+    raise TypeError(
+        f"definition must be a dict, UserDefinition or definition "
+        f"builder, got {type(definition).__name__}"
+    )
 
-    Raw dicts are canonicalized without parsing (the whole point of the
-    admission memo is to skip ``parse_definition``); parsed definitions
-    key off their frozen-dataclass repr.
-    """
+
+def definition_fingerprint(definition: Any) -> Tuple:
+    """Canonical key for a definition in any accepted form: dicts (and
+    builders, as their dict) without parsing — the admission memo exists
+    to skip ``parse_definition`` — and parsed ones by their repr."""
+    definition = _keyable(definition)
     if definition is None:
         return ("none",)
     if isinstance(definition, dict):
         return ("dict", _canon(definition))
-    if isinstance(definition, UserDefinition):
-        return ("parsed", tuple(
-            (name, repr(bundle))
-            for name, bundle in sorted(definition.bundles.items())
-        ))
-    return ("other", repr(definition))
+    return ("parsed", tuple(
+        (name, repr(bundle))
+        for name, bundle in sorted(definition.bundles.items())
+    ))
 
 
 def inputs_fingerprint(inputs: Optional[Dict[str, Any]]) -> Tuple:
     return _canon(inputs or {})
 
 
-def requires_tenant_scope(dag: ModuleDAG) -> bool:
-    """True when the app carries any non-``public`` sensitivity label.
+def _requests_encryption(definition: Any) -> bool:
+    """True when any module's execenv asks for ``encrypt`` protection."""
+    definition = _keyable(definition)
+    if isinstance(definition, UserDefinition):
+        return any(
+            bundle.execenv is not None and bundle.execenv.protection.encrypt
+            for bundle in definition.bundles.values()
+        )
+    for aspects in (definition or {}).values():
+        execenv = aspects.get("execenv") if isinstance(aspects, dict) else {}
+        flags = execenv.get("protection") if isinstance(execenv, dict) else ()
+        flags = [flags] if isinstance(flags, str) else flags
+        if isinstance(flags, (list, tuple, set, frozenset)) \
+                and "encrypt" in {str(flag).lower() for flag in flags}:
+            return True
+    return False
 
-    Such an app's outputs are information-flow sensitive (the C4 story:
-    ``public < anonymized < phi``), so its cached results must never be
-    served across tenants — one tenant's PHI report is not another's,
-    even for byte-identical submissions.  Unlabeled and ``public``-only
-    apps keep sharing cache entries: their results are, by declaration,
-    not tenant-confidential.
+
+def requires_tenant_scope(dag: ModuleDAG, definition: Any) -> bool:
+    """True when the app's results are tenant-confidential: a module
+    carries a non-``public`` sensitivity label (the C4 lattice ``public <
+    anonymized < phi``), or the definition asks an execenv to encrypt.
+
+    Such results must never be served across tenants, even for
+    byte-identical submissions; everything else shares cache entries.
     """
     return any(
         getattr(module, "sensitivity", None) not in (None, "public")
         for module in dag.modules.values()
-    )
+    ) or _requests_encryption(definition)
+
+
+class SubmissionKey(NamedTuple):
+    """The one fingerprint of a submission, computed at ``submit()``.
+
+    The result cache (:attr:`result`), lint memo (:meth:`lint`) and
+    admission memo (:meth:`admission`) all key off these parts; the key
+    rides on the submission through dispatch, cell spills, admission
+    retries and preemption redeploys, so nothing is fingerprinted twice.
+    """
+
+    #: admission-visible DAG structure, without app name or code hashes
+    shape: Tuple
+    #: ``(app name, task code hashes in sorted module order)``
+    identity: Tuple
+    definition: Tuple
+    inputs: Any
+    #: ``("tenant", name)`` if :func:`requires_tenant_scope`, else
+    #: ``("shared",)``
+    scope: Tuple
+
+    @classmethod
+    def of(cls, tenant: str, dag: ModuleDAG, definition: Any,
+           inputs: Optional[Dict[str, Any]]) -> "SubmissionKey":
+        definition = _keyable(definition)
+        shape, identity = dag_fingerprint(dag)
+        scope = (("tenant", tenant)
+                 if requires_tenant_scope(dag, definition) else ("shared",))
+        return cls(shape, identity, definition_fingerprint(definition),
+                   inputs_fingerprint(inputs), scope)
+
+    @property
+    def result(self) -> Tuple:
+        """Result-cache key: everything, tenant-scoped when confidential."""
+        return (self.scope, self.shape, self.identity, self.definition,
+                self.inputs)
+
+    def lint(self, tier: str) -> Tuple:
+        """Lint-memo key: the report depends on app, definition, tier."""
+        return (self.shape, self.identity, self.definition, tier)
+
+    def admission(self, policy: ConflictPolicy) -> Tuple:
+        """Admission-memo key: shape only, so tenants share templates."""
+        return (self.shape, self.definition, policy.value)
 
 
 @dataclass
@@ -151,45 +227,16 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class ResultCache:
-    """Bounded LRU over completed :class:`RunResult`\\ s.
-
-    ``capacity <= 0`` disables the cache (every get misses, puts drop).
-    """
+class _Lru:
+    """Bounded LRU with hit/miss/eviction stats; ``capacity <= 0``
+    disables it (every lookup misses, stores drop)."""
 
     def __init__(self, capacity: int = 128):
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, RunResult]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
         self.stats = CacheStats()
 
-    @staticmethod
-    def key(
-        dag: ModuleDAG,
-        definition,
-        inputs: Optional[Dict[str, Any]],
-        tenant: Optional[str] = None,
-    ) -> Tuple:
-        """Cache key, tenant-scoped when the app is sensitivity-labeled.
-
-        Entries for apps carrying any non-``public`` sensitivity label
-        are scoped to the submitting tenant (no cross-tenant hits);
-        public-only apps share one entry across tenants.  ``tenant=None``
-        preserves the historical unscoped key for callers outside the
-        serving layer.
-        """
-        scope = (
-            ("tenant", tenant)
-            if tenant is not None and requires_tenant_scope(dag)
-            else ("shared",)
-        )
-        return (
-            scope,
-            dag_fingerprint(dag, include_identity=True),
-            definition_fingerprint(definition),
-            inputs_fingerprint(inputs),
-        )
-
-    def get(self, key: Tuple) -> Optional[RunResult]:
+    def _get(self, key: Tuple) -> Any:
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -198,10 +245,10 @@ class ResultCache:
         self.stats.hits += 1
         return entry
 
-    def put(self, key: Tuple, result: RunResult) -> None:
+    def _put(self, key: Tuple, value: Any) -> None:
         if self.capacity <= 0:
             return
-        self._entries[key] = result
+        self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -212,85 +259,32 @@ class ResultCache:
         return len(self._entries)
 
 
-class AdmissionMemo:
+class ResultCache(_Lru):
+    """Bounded LRU over completed :class:`RunResult`\\ s."""
+
+    def get(self, key: Tuple) -> Optional[RunResult]:
+        return self._get(key)
+
+    def put(self, key: Tuple, result: RunResult) -> None:
+        self._put(key, result)
+
+
+class AdmissionMemo(_Lru):
     """Bounded LRU of admission templates, consumed by
-    :meth:`~repro.core.runtime.UDCRuntime.admit` when installed on the
-    runtime (``runtime.admission_memo``).
+    :meth:`~repro.core.runtime.UDCRuntime.admit` (``runtime.admission_memo``)
+    for submissions that carry a :class:`SubmissionKey`.
 
     A template holds one app shape's :class:`ConflictResolution` and the
     default-filled (frozen, shareable) per-module aspect bundles; hitting
-    it skips DAG validation, definition parsing, and conflict resolution
-    for every subsequent structurally identical submission.
+    it skips DAG validation, definition parsing, and conflict resolution.
     """
 
     def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, Tuple[ConflictResolution, Dict]]" \
-            = OrderedDict()
-        self.stats = CacheStats()
-        #: (id(dag), id(definition)) -> (dag, definition, key), alive only
-        #: inside identity_round(); strong refs keep the ids stable
-        self._round_keys: Optional[Dict[Tuple[int, int], Tuple]] = None
+        super().__init__(capacity)
 
-    @staticmethod
-    def key(dag: ModuleDAG, definition, policy: ConflictPolicy) -> Tuple:
-        return (
-            dag_fingerprint(dag, include_identity=False),
-            definition_fingerprint(definition),
-            policy.value,
-        )
+    def lookup(self, key: Tuple) -> Optional[Tuple[ConflictResolution, Dict]]:
+        return self._get(key)
 
-    @contextmanager
-    def identity_round(self):
-        """Skip re-fingerprinting repeated (dag, definition) *objects*.
-
-        Sound only while no caller code runs between submissions — one
-        service dispatch round flushes its buffer atomically, so the same
-        object cannot have been mutated between two of the round's
-        submissions.  Serial submissions return to the caller in between
-        (the dict may be mutated), hence no identity shortcut there.
-        """
-        self._round_keys = {}
-        try:
-            yield
-        finally:
-            self._round_keys = None
-
-    def _key_for(self, dag, definition, policy: ConflictPolicy) -> Tuple:
-        round_keys = self._round_keys
-        if round_keys is None:
-            return self.key(dag, definition, policy)
-        id_key = (id(dag), id(definition), policy.value)
-        entry = round_keys.get(id_key)
-        if entry is None or entry[0] is not dag or entry[1] is not definition:
-            entry = (dag, definition, self.key(dag, definition, policy))
-            round_keys[id_key] = entry
-        return entry[2]
-
-    def lookup(
-        self, dag: ModuleDAG, definition, policy: ConflictPolicy
-    ) -> Optional[Tuple[ConflictResolution, Dict]]:
-        key = self._key_for(dag, definition, policy)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return entry
-
-    def store(
-        self,
-        dag: ModuleDAG,
-        definition,
-        policy: ConflictPolicy,
-        resolution: ConflictResolution,
-        bundles: Dict,
-    ) -> None:
-        if self.capacity <= 0:
-            return
-        self._entries[self._key_for(dag, definition, policy)] = (resolution, bundles)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self.stats.size = len(self._entries)
+    def store(self, key: Tuple, resolution: ConflictResolution,
+              bundles: Dict) -> None:
+        self._put(key, (resolution, bundles))

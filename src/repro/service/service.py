@@ -24,7 +24,9 @@ adds the four things a single-shot runtime lacks:
 * **Result memoization** — identical ``(dag, definition, inputs)``
   re-submissions are served from a bounded
   :class:`~repro.service.cache.ResultCache` without consuming capacity,
-  with the saved cost credited on the tenant's rollup.
+  with the saved cost credited on the tenant's rollup.  The cache, lint
+  memo and admission memo share one
+  :class:`~repro.service.cache.SubmissionKey`.
 * **Static lint** — every executed submission is first run through the
   static analyzer (:func:`repro.analysis.analyze_definition`) against
   this datacenter; error-severity findings reject with
@@ -40,7 +42,7 @@ Per-tenant outcomes land on an
 from __future__ import annotations
 
 import itertools
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
@@ -58,7 +60,8 @@ from repro.economics.autopilot import (
 )
 from repro.economics.tenants import TenantLedger, TenantUsage, jain_index
 from repro.hardware.topology import Datacenter
-from repro.service.cache import AdmissionMemo, CacheStats, ResultCache
+from repro.service.cache import (AdmissionMemo, CacheStats, ResultCache,
+                                 SubmissionKey)
 from repro.service.tenants import (
     BudgetExceeded,
     QuotaExceeded,
@@ -432,7 +435,9 @@ class UDCService:
 
         In batched mode the submission buffers until the next
         :meth:`dispatch_round` (or :meth:`drain`, which flushes); in
-        serial mode it reaches the runtime immediately.
+        serial mode it reaches the runtime immediately.  ``app``,
+        ``definition`` and ``inputs`` are read once, here, into the
+        submission's key: do not mutate them until the handle finalizes.
         """
         opts = SubmitOptions()
         if options is not None:
@@ -445,33 +450,32 @@ class UDCService:
         lint = self.lint if opts.lint is None else opts.lint
         record = self._tenant_of(tenant)
         name = record.name
+        key = SubmissionKey.of(name, app, definition, inputs)
         labels = {"tenant": name}
         self.telemetry.inc("udc_tenant_submissions_total", labels=labels)
         handle = SubmissionHandle(tenant=name, app=app.name,
                                   seq=next(self._seq), options=opts)
         if self.cache.capacity > 0 and opts.use_cache:
-            # Sensitivity-labeled apps key by tenant: tenant A's cached
+            # Tenant-confidential apps key by tenant: tenant A's cached
             # PHI result must never answer tenant B's submission.
-            key = ResultCache.key(app, definition, inputs, tenant=name)
-            cached = self.cache.get(key)
+            handle._cache_key = key.result
+            cached = self.cache.get(handle._cache_key)
             if cached is not None:
                 # A hit short-circuits placement, not policy: the result
                 # may have been cached under a differently-configured
                 # service, so a linting service still lints before
                 # serving (memoized — repeats stay cheap).
                 if lint:
-                    self._lint(name, app, definition)
+                    self._lint(name, app, definition, key)
                 # Served without consuming capacity: no quota charge.
                 handle.cached = True
                 handle.result = cached
-                handle._cache_key = key
                 self._handles.append(handle)
                 self.ledger.record_submission(name)
                 self.ledger.record_cache_hit(name, cached)
                 self.telemetry.inc("udc_tenant_cache_hits_total",
                                    labels=labels)
                 return handle
-            handle._cache_key = key
             self.telemetry.inc("udc_tenant_cache_misses_total", labels=labels)
         try:
             record.check_quota(self.in_flight(name))
@@ -488,20 +492,21 @@ class UDCService:
             self.telemetry.inc("udc_budget_rejections_total", labels=labels)
             raise BudgetExceeded(name, reason)
         if lint:
-            self._lint(name, app, definition)
+            self._lint(name, app, definition, key)
         record.submitted += 1
         self.ledger.record_submission(name)
         self._handles.append(handle)
         self._open.append(handle)
         self._live_counts[name] = self._live_counts.get(name, 0) + 1
-        pending = _PendingWork(handle, app, definition, inputs, opts)
+        pending = _PendingWork(handle, app, definition, inputs, key, opts)
         if self.batched:
             self._pending.append(pending)
         else:
             self._dispatch(pending)
         return handle
 
-    def _lint(self, tenant: str, app: ModuleDAG, definition) -> None:
+    def _lint(self, tenant: str, app: ModuleDAG, definition,
+              key: SubmissionKey) -> None:
         """Static front-door check; raises
         :class:`~repro.analysis.AnalysisError` on error findings.
 
@@ -511,21 +516,16 @@ class UDCService:
         """
         # Imported here: repro.analysis imports service types at load.
         from repro.analysis import AnalysisError, analyze_definition
-        from repro.service.cache import (
-            dag_fingerprint,
-            definition_fingerprint,
-        )
 
         labels = {"tenant": tenant}
         self.telemetry.inc("udc_lint_checks_total", labels=labels)
-        # Memoized on the same structural fingerprints as the result
-        # cache (labels included): a repeated shape re-emits the same
-        # metrics and verdict without re-running the analyzer.  The
-        # report is a pure function of (app, definition, datacenter),
-        # so replaying it is byte-identical to re-deriving it.
+        # Memoized on the submission key (labels included): a repeated
+        # shape re-emits the same metrics and verdict without re-running
+        # the analyzer.  The report is a pure function of (app,
+        # definition, datacenter, tier), so replaying it is
+        # byte-identical to re-deriving it.
         tier = self.tier_of(tenant)
-        memo_key = (dag_fingerprint(app, include_identity=True),
-                    definition_fingerprint(definition), tier)
+        memo_key = key.lint(tier)
         report = self._lint_memo.get(memo_key)
         if report is None:
             report = analyze_definition(
@@ -552,12 +552,7 @@ class UDCService:
             # submit attempt, queue on capacity failure) so placements,
             # seq streams, and telemetry stay byte-identical.
             handle.cell = 0
-            submission = self.runtime.submit(
-                work.app, work.definition, tenant=handle.tenant,
-                inputs=work.inputs,
-                persistent=_declares_persistent(work.definition),
-                queue_if_full=True,
-            )
+            submission = work.submit_to(self.runtime, queue_if_full=True)
         else:
             submission = self._dispatch_routed(work)
         handle.submission = submission
@@ -619,16 +614,12 @@ class UDCService:
         retries it.
         """
         handle = work.handle
-        persistent = _declares_persistent(work.definition)
         demand = estimate_demand(work.app, self.runtime.datacenter)
         order = self.router.order(demand)
         for hops, cell_id in enumerate(order):
             try:
-                submission = self.cell_runtimes[cell_id].submit(
-                    work.app, work.definition, tenant=handle.tenant,
-                    inputs=work.inputs, persistent=persistent,
-                    queue_if_full=False,
-                )
+                submission = work.submit_to(self.cell_runtimes[cell_id],
+                                            queue_if_full=False)
             except SchedulerError:
                 continue
             handle.cell = cell_id
@@ -636,11 +627,8 @@ class UDCService:
             return submission
         handle.cell = order[0]
         self.router.record_placement(order[0], len(order))
-        return self.cell_runtimes[order[0]].submit(
-            work.app, work.definition, tenant=handle.tenant,
-            inputs=work.inputs, persistent=persistent,
-            queue_if_full=True,
-        )
+        return work.submit_to(self.cell_runtimes[order[0]],
+                              queue_if_full=True)
 
     def dispatch_round(self) -> int:
         """Flush buffered submissions as one scheduling round.
@@ -673,16 +661,13 @@ class UDCService:
         with ExitStack() as scopes:
             # Every cell opens its batch scope for the round: schedulers
             # install their round-local _BatchCache (and per-cell
-            # batch-round latency is observed once per round per cell),
-            # admission memos their identity shortcut.  With one cell
-            # this is exactly the historical single batch_round.
+            # batch-round latency is observed once per round per cell).
+            # With one cell this is exactly the historical single
+            # batch_round.
             for cell_runtime in self.cell_runtimes:
                 scopes.enter_context(
                     cell_runtime.scheduler.batch_round(len(batch))
                 )
-                memo = cell_runtime.admission_memo
-                scopes.enter_context(memo.identity_round()
-                                     if memo is not None else nullcontext())
             for work in batch:
                 self._dispatch(work)
         self.telemetry.span_end(span, self.runtime.sim.now)
@@ -985,4 +970,14 @@ class _PendingWork:
     app: ModuleDAG
     definition: Any
     inputs: Optional[Dict[str, Any]]
+    key: SubmissionKey
     options: SubmitOptions = field(default_factory=SubmitOptions)
+
+    def submit_to(self, runtime: UDCRuntime,
+                  queue_if_full: bool) -> Submission:
+        return runtime.submit(
+            self.app, self.definition, tenant=self.handle.tenant,
+            inputs=self.inputs,
+            persistent=_declares_persistent(self.definition),
+            queue_if_full=queue_if_full, key=self.key,
+        )

@@ -15,11 +15,12 @@ import pytest
 
 from repro.analysis import AnalysisError
 from repro.appmodel.annotations import AppBuilder
+from repro.core.spec import parse_definition
 from repro.gateway import GatewayClient, GatewayConfig, GatewayError, \
     UDCGateway
 from repro.hardware.devices import DeviceType
 from repro.hardware.topology import DatacenterSpec, build_datacenter
-from repro.service.cache import ResultCache, requires_tenant_scope
+from repro.service.cache import SubmissionKey, requires_tenant_scope
 from repro.service.service import UDCService
 
 SPEC = DatacenterSpec(
@@ -43,11 +44,11 @@ def cpu_job(name, work=2.0):
     return app.build(), {"crunch": {"resource": "cheapest"}}
 
 
-def phi_job(name, encrypted=True):
+def phi_job(name, encrypted=True, sensitivity="phi"):
     """A PHI-labeled pipeline; ``encrypted=False`` seeds a UDC042 error."""
     app = AppBuilder(name)
     app.task(name="ingest", work=1.0)(_noop)
-    vault = app.data("vault", size_gb=1, sensitivity="phi")
+    vault = app.data("vault", size_gb=1, sensitivity=sensitivity)
     app.writes("ingest", vault, bytes_per_run=1 << 10)
     definition = {
         "ingest": {"resource": "cheapest"},
@@ -219,8 +220,9 @@ def test_draining_gateway_refuses_new_submissions():
 
 def test_sensitive_results_never_serve_across_tenants():
     """Tenant B must not read tenant A's cached PHI result (the key
-    previously ignored the tenant entirely — this test fails on the
-    old ``ResultCache.key``)."""
+    once ignored the tenant entirely), nor the result of a
+    public-labeled app whose definition asks for encryption (the scope
+    decision once read only the DAG's labels)."""
     service = make_service()
     dag, definition = phi_job("records")
     first = service.submit("hospital-a", dag, definition)
@@ -235,6 +237,15 @@ def test_sensitive_results_never_serve_across_tenants():
     # Same tenant still enjoys its own cached result...
     again = service.submit("hospital-a", dag, definition)
     assert again.cached
+    # Encryption requested by the definition scopes a public app too.
+    sealed_dag, sealed_def = phi_job("sealed", sensitivity="public")
+    service.submit("hospital-a", sealed_dag, sealed_def)
+    service.drain()
+    sealed = service.submit("hospital-b", sealed_dag, sealed_def)
+    assert not sealed.cached, \
+        "tenant B was served tenant A's cached encrypted result"
+    service.drain()
+    assert service.submit("hospital-a", sealed_dag, sealed_def).cached
     # ...and public apps keep sharing cross-tenant.
     pub_dag, pub_def = cpu_job("public-job")
     service.submit("hospital-a", pub_dag, pub_def)
@@ -246,16 +257,21 @@ def test_sensitive_results_never_serve_across_tenants():
 def test_tenant_scope_predicate_and_key_shape():
     phi_dag, _ = phi_job("scoped")
     pub_dag, _ = cpu_job("unscoped")
-    assert requires_tenant_scope(phi_dag)
-    assert not requires_tenant_scope(pub_dag)
-    scoped = ResultCache.key(phi_dag, None, None, tenant="a")
+    sealed_dag, sealed_def = phi_job("sealed", sensitivity="public")
+    assert requires_tenant_scope(phi_dag, None)
+    assert not requires_tenant_scope(pub_dag, None)
+    assert not requires_tenant_scope(sealed_dag, None)
+    assert requires_tenant_scope(sealed_dag, sealed_def)
+    assert requires_tenant_scope(sealed_dag, parse_definition(sealed_def))
+    scoped = SubmissionKey.of("a", phi_dag, None, None).result
     assert scoped[0] == ("tenant", "a")
-    assert ResultCache.key(phi_dag, None, None, tenant="b") != scoped
+    assert SubmissionKey.of("b", phi_dag, None, None).result != scoped
+    assert SubmissionKey.of("a", sealed_dag, sealed_def, None).scope == \
+        ("tenant", "a")
     # Public apps share one key regardless of tenant.
-    assert ResultCache.key(pub_dag, None, None, tenant="a") == \
-        ResultCache.key(pub_dag, None, None, tenant="b")
-    # Historical callers without a tenant keep the unscoped key.
-    assert ResultCache.key(pub_dag, None, None)[0] == ("shared",)
+    shared = SubmissionKey.of("a", pub_dag, None, None)
+    assert shared.scope == ("shared",)
+    assert shared.result == SubmissionKey.of("b", pub_dag, None, None).result
 
 
 # ------------------------------------- regression: timed-drain finalize
