@@ -86,7 +86,6 @@ class BundleManager:
 
     def __init__(self, warm_pool: Optional[WarmPool] = None):
         self.warm_pool = warm_pool
-        self.units: List[ResourceUnit] = []
 
     def assemble(
         self,
@@ -121,7 +120,6 @@ class BundleManager:
             environment=environment,
             extra_compute=list(extra_compute or []),
         )
-        self.units.append(unit)
         return unit
 
     def refill_warm_pool(self) -> int:

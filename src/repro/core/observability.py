@@ -230,11 +230,12 @@ def _label_key(labels: Optional[Dict[str, str]]) -> LabelKey:
 
 class _Instrument:
     """Base of the instrument kinds.  Caches the instrument's rendered
-    :meth:`MetricsRegistry.to_dict` entry; every mutation drops it and
-    marks the owning family's rendering stale too (instruments built
-    outside a registry have no family to mark)."""
+    :meth:`MetricsRegistry.to_dict` entry; the first mutation after a
+    rendering drops it and queues the instrument on its family's stale
+    list, so the family's next rendering replaces just that entry
+    (instruments built outside a registry have no family)."""
 
-    __slots__ = ("_family", "_labels", "_entry")
+    __slots__ = ("_family", "_labels", "_entry", "_index")
 
     def __init__(self, family: Optional[_Family] = None,
                  key: LabelKey = ()):
@@ -242,12 +243,15 @@ class _Instrument:
         #: shared by every rendering of this instrument
         self._labels = dict(key)
         self._entry: Optional[Dict[str, object]] = None
+        #: position in the family's rendered ``values`` list
+        self._index = -1
 
     def _changed(self) -> None:
-        self._entry = None
-        family = self._family
-        if family is not None:
-            family.rendered = None
+        if self._entry is not None:
+            self._entry = None
+            family = self._family
+            if family is not None:
+                family.stale.append(self)
 
     def entry(self) -> Dict[str, object]:
         """This instrument's JSON entry, shared, read-only, by every
@@ -364,28 +368,37 @@ class _Family:
     buckets: Tuple[float, ...] = DEFAULT_BUCKETS
     instruments: Dict[LabelKey, object] = field(default_factory=dict)
     #: the family's :meth:`MetricsRegistry.to_dict` entry, cached until
-    #: one of its instruments changes or a new one joins (then None)
+    #: a new instrument joins (then None: the label order changes)
     rendered: Optional[Dict[str, object]] = field(default=None, repr=False)
-    #: the instruments in label-key order; None after one joins
-    ordered: Optional[List[_Instrument]] = field(default=None, repr=False)
+    #: instruments mutated since ``rendered`` was built, each queued once
+    stale: List[_Instrument] = field(default_factory=list, repr=False)
 
     def add(self, key: LabelKey, instrument: _Instrument) -> _Instrument:
         self.instruments[key] = instrument
-        self.ordered = self.rendered = None
+        self.rendered = None
         return instrument
 
     def render(self) -> Dict[str, object]:
-        """The family's JSON entry, rendered on the first read after a
-        change and shared, read-only, by every snapshot until the next.
-        Re-rendering reuses the entries of unchanged instruments."""
+        """The family's JSON entry, shared, read-only, by every snapshot
+        until the next change.  After mutations it is a fresh dict whose
+        ``values`` list copies the previous one and replaces only the
+        stale instruments' entries; a new instrument rebuilds it in
+        label-key order."""
         if self.rendered is None:
-            if self.ordered is None:
-                self.ordered = [self.instruments[key]
-                                for key in sorted(self.instruments)]
-            self.rendered = {
-                "type": self.kind, "help": self.help,
-                "values": [instrument.entry() for instrument in self.ordered],
-            }
+            ordered = [self.instruments[key]
+                       for key in sorted(self.instruments)]
+            for index, instrument in enumerate(ordered):
+                instrument._index = index
+            values = [instrument.entry() for instrument in ordered]
+        elif self.stale:
+            values = list(self.rendered["values"])
+            for instrument in self.stale:
+                values[instrument._index] = instrument.entry()
+        else:
+            return self.rendered
+        self.stale.clear()
+        self.rendered = {"type": self.kind, "help": self.help,
+                         "values": values}
         return self.rendered
 
 

@@ -152,7 +152,8 @@ class Submission:
     #: preemption does not inject it again
     failure_plan: Optional[List[Tuple[float, str]]] = field(default=None, repr=False)
     #: per-task execution state of the current deployment (rebuilt on
-    #: every _deploy; what UDCRuntime.preempt interrupts)
+    #: every _deploy, emptied at collection; what UDCRuntime.preempt
+    #: interrupts)
     live_tasks: Dict[str, "_LiveTask"] = field(default_factory=dict,
                                                repr=False)
     #: times this submission's resources were reclaimed for firm work
@@ -622,13 +623,13 @@ class UDCRuntime:
                 # (a legitimate, if dangerous, declaration).
                 domain = self.injector.domain(dist.failure_domain)
                 for allocation in obj.allocations:
-                    domain.devices.append(allocation.device)
+                    domain.add_device(allocation.device)
             else:
                 # Default: each replica is its own failure domain —
                 # replicas exist precisely to fail independently (§3.4).
                 for index, allocation in enumerate(obj.allocations):
-                    self.injector.domain(f"fd:{name}:r{index}").devices \
-                        .append(allocation.device)
+                    self.injector.domain(f"fd:{name}:r{index}") \
+                        .add_device(allocation.device)
         live: Dict[str, _LiveTask] = {}
         graph = dag.effective_task_graph()
         for name, placement in placements.items():
@@ -636,7 +637,7 @@ class UDCRuntime:
             dist = obj.aspects.distributed or DistributedAspect()
             domain_name = dist.failure_domain or f"fd:{name}"
             domain = self.injector.domain(domain_name)
-            domain.devices.append(placement.unit.compute.device)
+            domain.add_device(placement.unit.compute.device)
             submission.completions[name] = self.sim.event()
             live[name] = _LiveTask(
                 obj=obj,
@@ -811,6 +812,11 @@ class UDCRuntime:
         end = submission.finished_at if submission.finished_at else self.sim.now
         makespan = end - submission.submitted_at
         self._teardown(submission)
+        # The tasks are over: drop their execution state (processes,
+        # exhausted generators, placements) instead of pinning it for as
+        # long as the submission is referenced.  preempt() skips
+        # submissions that are no longer running, so nothing reads it.
+        submission.live_tasks = {}
         self._finalize_records(
             submission.records, submission.objects, submission.stores
         )

@@ -49,11 +49,18 @@ class Failure:
 
 @dataclass
 class FailureDomain:
-    """A named blast radius: devices plus the processes pinned to them."""
+    """A named blast radius: devices plus the processes pinned to them.
+
+    Both collections stay bounded over a long-lived service: a device
+    joins once however many deployments land on it (first-join order),
+    and a process leaves the moment it finishes.
+    """
 
     name: str
     devices: List[Device] = field(default_factory=list)
-    processes: List[Process] = field(default_factory=list)
+    #: live processes, in registration order (a dict used as an ordered
+    #: set; each entry is dropped when its process finishes)
+    processes: Dict[Process, None] = field(default_factory=dict)
     failed: bool = False
     #: most recent crash applied to this domain; scheduled repairs are
     #: only honored for the failure they were paired with, so a stale
@@ -61,8 +68,17 @@ class FailureDomain:
     #: or otherwise) in the meantime.
     last_failure: Optional[Failure] = None
 
+    def add_device(self, device: Device) -> None:
+        """Join ``device`` unless it is already a member."""
+        if not any(member is device for member in self.devices):
+            self.devices.append(device)
+
     def register_process(self, process: Process) -> None:
-        self.processes.append(process)
+        self.processes[process] = None
+        process.callbacks.append(self._forget)
+
+    def _forget(self, process: Process) -> None:
+        self.processes.pop(process, None)
 
     def fail(self, failure: Failure) -> None:
         self.failed = True
@@ -71,7 +87,6 @@ class FailureDomain:
             device.failed = True
         for process in self.processes:
             process.interrupt(failure)
-        self.processes = [p for p in self.processes if p.is_alive]
 
     def repair(self, failure: Optional[Failure] = None) -> None:
         """Un-fail the domain.

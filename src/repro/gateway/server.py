@@ -11,11 +11,13 @@ One event loop, three moving parts:
   are synchronous and atomic (no awaits inside), so the discrete-event
   core never sees interleaved mutation.
 * **One engine task** (:meth:`UDCGateway._tick_loop`) advances the
-  simulated clock in bounded ticks — ``service.drain(until=now +
-  tick_sim_s)`` — finalizing completions as they happen.  A full
-  ``drain()`` is reserved for shutdown: quiescent drains mark
-  still-queued submissions unplaceable, which is a verdict a live
-  server must not issue every tick.
+  simulated clock in timed ticks — ``service.drain(until=...)`` —
+  finalizing completions as they happen.  A tick runs ``tick_sim_s``,
+  or on to the next simulated event when that is later and nothing
+  waits to be dispatched, so no tick covers an interval in which
+  nothing happens.  A full ``drain()`` is reserved for shutdown:
+  quiescent drains mark still-queued submissions unplaceable, which is
+  a verdict a live server must not issue every tick.
 * **Overload control**: past a live-submission watermark
   (``max_live``), admission is fair-share gated with the service's own
   weighted policy — a tenant already at or over its weighted share of
@@ -100,7 +102,10 @@ class GatewayConfig:
     workers: int = 64
     #: live-submission watermark where fair-share load shedding engages
     max_live: int = 512
-    #: simulated seconds the engine advances per tick
+    #: simulated seconds the engine advances per tick, at least: with
+    #: nothing waiting to be dispatched, a tick runs on to the next
+    #: simulated event when that is later (an empty event heap keeps
+    #: this fixed step)
     tick_sim_s: float = 0.05
     #: real seconds the engine sleeps when there is no open work
     idle_sleep_s: float = 0.002
@@ -238,14 +243,19 @@ class UDCGateway:
     # --------------------------------------------------------------- engine
 
     async def _tick_loop(self) -> None:
-        """Advance the control plane in bounded simulated-time ticks."""
+        """Advance the control plane in simulated-time ticks."""
+        sim = self.service.runtime.sim
         while True:
             if self.service.pending_count or self.service.open_count:
                 start = time.monotonic()
-                sim_now = self.service.runtime.sim.now
-                finished = self.service.drain(
-                    until=sim_now + self.config.tick_sim_s
-                )
+                until = sim.now + self.config.tick_sim_s
+                # Nothing to dispatch: run on to the next simulated event,
+                # so no tick (each one an event-loop turn between a
+                # request and its result) covers an empty interval.
+                if not self.service.pending_count \
+                        and sim.next_event_time < math.inf:
+                    until = max(until, sim.next_event_time)
+                finished = self.service.drain(until=until)
                 self.telemetry.inc("udc_gateway_ticks_total")
                 self.telemetry.observe("udc_gateway_tick_seconds",
                                        time.monotonic() - start)
@@ -697,14 +707,26 @@ class UDCGateway:
         mine.append(watch)
 
     async def _ws_pump(self, ws: WebSocketConnection, queue) -> None:
-        """Drain one connection's event queue onto the socket."""
+        """Drain one connection's event queue onto the socket.
+
+        Each wakeup takes every event already queued — a tick that
+        finalizes a submission queues its whole terminal series at once
+        — and sends them with one write and one drain.
+        """
         while True:
-            item = await queue.get()
-            if item is None:
-                return
-            try:
-                await ws.send_json(item)
-            except (ConnectionError, RuntimeError):
+            batch = [await queue.get()]
+            while not queue.empty():
+                batch.append(queue.get_nowait())
+            # None ends the stream: send what precedes it, then stop.
+            closing = None in batch
+            if closing:
+                del batch[batch.index(None):]
+            if batch:
+                try:
+                    await ws.send_json_batch(batch)
+                except (ConnectionError, RuntimeError):
+                    return
+            if closing:
                 return
 
     def _emit(self, watch: _Watch, payload: Dict[str, Any]) -> None:

@@ -17,7 +17,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 __all__ = [
@@ -252,9 +252,18 @@ class WebSocketConnection:
         self.closed = False
 
     async def send_json(self, payload: object) -> None:
-        await self._send_frame(
-            0x1, json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
+        await self.send_json_batch((payload,))
+
+    async def send_json_batch(self, payloads: Iterable[object]) -> None:
+        """One text frame per payload, in order, flushed with a single
+        write and drain (a stream wakeup costs one send, not one per
+        event)."""
+        self.writer.write(b"".join(
+            self._frame(0x1, json.dumps(payload, sort_keys=True)
+                        .encode("utf-8"))
+            for payload in payloads
+        ))
+        await self.writer.drain()
 
     async def recv_json(self) -> Optional[object]:
         """Next JSON message; None once the peer closes."""
@@ -282,6 +291,11 @@ class WebSocketConnection:
                 pass
 
     async def _send_frame(self, opcode: int, payload: bytes) -> None:
+        self.writer.write(self._frame(opcode, payload))
+        await self.writer.drain()
+
+    def _frame(self, opcode: int, payload: bytes) -> bytes:
+        """Encode one unfragmented frame (masked in the client role)."""
         header = bytearray([0x80 | opcode])
         mask_bit = 0x80 if self.mask_frames else 0
         length = len(payload)
@@ -300,8 +314,7 @@ class WebSocketConnection:
             payload = bytes(
                 b ^ mask[i % 4] for i, b in enumerate(payload)
             )
-        self.writer.write(bytes(header) + payload)
-        await self.writer.drain()
+        return bytes(header) + payload
 
     async def _recv_frame(self) -> Optional[Tuple[int, bytes]]:
         try:

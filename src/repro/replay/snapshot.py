@@ -51,10 +51,13 @@ __all__ = [
 
 #: Bumped whenever a pickled class changes shape (2: metric instruments
 #: cache their rendering; 3: submissions carry their SubmissionKey and
-#: the admission memo lost its per-round identity table), so a snapshot
-#: written by another build is skipped on resume instead of restored
-#: into objects it does not fit.
-SNAPSHOT_VERSION = 3
+#: the admission memo lost its per-round identity table; 4: metric
+#: families track their stale instruments, instruments their position,
+#: failure domains hold live processes in an ordered dict, and the
+#: bundle manager no longer lists every unit it built), so a
+#: snapshot written by another build is skipped on resume instead of
+#: restored into objects it does not fit.
+SNAPSHOT_VERSION = 4
 _FORMAT = "udc-snapshot"
 
 

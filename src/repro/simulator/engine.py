@@ -18,6 +18,7 @@ self-contained and deterministic:
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -330,6 +331,14 @@ class Simulator:
         :mod:`repro.replay`: between events, never inside one.
         """
         return not self._heap
+
+    @property
+    def next_event_time(self) -> float:
+        """Time of the earliest pending event; ``math.inf`` when the heap
+        is empty.  A caller advancing the clock in slices (the gateway's
+        engine tick) can jump straight here instead of stepping through
+        simulated intervals in which nothing happens."""
+        return self._heap[0][0] if self._heap else math.inf
 
     # -- public scheduling API --------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.appmodel.annotations import AppBuilder
+from repro.core.runtime import UDCRuntime
 from repro.distsem.checkpoint import CheckpointStore
 from repro.distsem.failures import Failure, FailureInjector
 from repro.distsem.network_order import (
@@ -284,3 +286,38 @@ def test_ordering_single_replica_degenerate():
 def test_ordering_validation():
     with pytest.raises(ValueError):
         run_ordered_writes(OrderingScheme.CONSENSUS, 5, 0)
+
+
+def test_failure_domains_stay_bounded_over_repeated_submissions():
+    """A long-lived runtime's domains hold each device once (in
+    first-join order) and only live processes, however many identical
+    submissions land on them; collected submissions drop their tasks."""
+    def app():
+        builder = AppBuilder("repeat")
+        builder.task(name="stage", work=10.0)(lambda ctx: None)
+        return builder.build()
+
+    runtime = UDCRuntime(build_datacenter(DatacenterSpec(pods=1,
+                                                         racks_per_pod=2)))
+    hosts = []
+    for _round in range(6):
+        submissions = [runtime.submit(app(), tenant=f"t{i}")
+                       for i in range(4)]
+        hosts += [s.live_tasks["stage"].placement.unit.compute.device
+                  for s in submissions]
+        runtime.sim.run(until=runtime.sim.now + 0.5)
+        domain = runtime.injector.domains["fd:stage"]
+        assert len(domain.processes) == 4
+        assert all(process.is_alive for process in domain.processes)
+        runtime.drain()
+        assert not domain.processes
+        assert all(s.status == "done" and not s.live_tasks
+                   for s in submissions)
+        assert not runtime.preempt(submissions[0])
+    distinct = []
+    for device in hosts:
+        if not any(seen is device for seen in distinct):
+            distinct.append(device)
+    assert len(distinct) < len(hosts)
+    assert len(domain.devices) == len(distinct)
+    assert all(a is b for a, b in zip(domain.devices, distinct))

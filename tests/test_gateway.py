@@ -18,6 +18,7 @@ from repro.appmodel.annotations import AppBuilder
 from repro.core.spec import parse_definition
 from repro.gateway import GatewayClient, GatewayConfig, GatewayError, \
     UDCGateway
+from repro.gateway.wire import WebSocketConnection
 from repro.hardware.devices import DeviceType
 from repro.hardware.topology import DatacenterSpec, build_datacenter
 from repro.service.cache import SubmissionKey, requires_tenant_scope
@@ -132,6 +133,80 @@ def test_stream_events_arrive_in_order():
     assert "metric" in kinds and kinds.index("metric") < kinds.index(
         "result")
     assert events[-1]["payload"]["done"] is True
+
+
+def test_ticks_jump_to_the_next_simulated_event():
+    """A lone batch submission takes far fewer engine ticks than its
+    simulated makespan in fixed ``tick_sim_s`` steps, and its stream
+    still replays the lifecycle in order."""
+    config = GatewayConfig(port=0, tick_sim_s=0.05)
+
+    async def scenario(gateway, service):
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            session = await client.stream()
+            accepted = await client.submit(
+                "batcher", {"archetype": "batch", "tag": "b"})
+            await session.watch(accepted["seq"])
+            events = [event async for event in
+                      session.events_until_result(accepted["seq"])]
+            await session.close()
+        ticks = service.telemetry.metrics.value("udc_gateway_ticks_total")
+        return events, ticks
+
+    events, ticks = run_gateway(scenario, config=config)
+    makespan = events[-1]["payload"]["makespan_s"]
+    fixed_steps = makespan / config.tick_sim_s
+    assert fixed_steps > 100
+    assert 0 < ticks < fixed_steps / 4
+    assert [e["event_seq"] for e in events] == list(range(len(events)))
+    statuses = [e["status"] for e in events if e["event"] == "status"]
+    assert statuses[-1] == "done"
+    assert statuses == sorted(
+        statuses, key=("pending", "queued", "running", "done").index)
+
+
+def test_coalesced_frames_keep_every_watch_contiguous(monkeypatch):
+    """Several watches share one WebSocket; the server sends each
+    wakeup's queued events as one write, and every watch's event_seq
+    still runs 0, 1, 2, ... with exactly one result."""
+    batch_sizes = []
+    send_batch = WebSocketConnection.send_json_batch
+
+    async def recording(self, payloads):
+        payloads = list(payloads)
+        if not self.mask_frames:  # the server side of the connection
+            batch_sizes.append(len(payloads))
+        await send_batch(self, payloads)
+
+    monkeypatch.setattr(WebSocketConnection, "send_json_batch", recording)
+
+    async def scenario(gateway, service):
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            session = await client.stream()
+            seqs = []
+            for i in range(6):
+                accepted = await client.submit(
+                    f"w{i % 3}", {"archetype": "tiny", "tag": f"w{i % 3}"},
+                    inputs={"i": i})
+                seqs.append(accepted["seq"])
+                await session.watch(accepted["seq"])
+            events = {seq: [] for seq in seqs}
+            results = 0
+            while results < len(seqs):
+                event = await session.next_event()
+                assert event is not None
+                events[event["seq"]].append(event)
+                results += event["event"] == "result"
+            await session.close()
+        return events
+
+    events = run_gateway(scenario)
+    for seq, stream in events.items():
+        assert [e["event_seq"] for e in stream] == list(range(len(stream)))
+        assert [e["event"] for e in stream].count("result") == 1
+        assert stream[-1]["event"] == "result"
+    assert max(batch_sizes) > 1
+    assert sum(batch_sizes) == sum(len(s) for s in events.values())
 
 
 def test_load_shed_returns_429_and_consumes_no_quota():

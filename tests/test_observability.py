@@ -12,7 +12,9 @@ import json
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.appmodel.ir import compile_dag
 from repro.cli import main
@@ -340,6 +342,64 @@ def test_earlier_snapshot_unchanged_by_later_activity():
     assert second["still"] is first["still"]
     assert second["c"] is not first["c"]
     assert second["c"]["values"][1]["value"] == 1.0
+
+
+_NAMES = ("c", "g", "h")
+_KINDS = {"c": "counter", "g": "gauge", "h": "histogram"}
+_op = st.tuples(
+    st.sampled_from(("inc", "set", "observe", "snapshot")),
+    st.sampled_from(_NAMES),
+    st.sampled_from(("", "a", "b", "c", "d")),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+
+
+@given(ops=st.lists(_op, max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_to_dict_equals_scratch_render_and_keeps_earlier_snapshots(ops):
+    """Property: under any interleaving of inc/set/observe, new label
+    sets and snapshots, every snapshot equals a from-scratch render of
+    the registry at that moment and never changes afterwards."""
+    registry = MetricsRegistry()
+    taken = []
+    for action, name, label, amount in ops:
+        labels = {"k": label} if label else None
+        kind = _KINDS[name]
+        if action == "snapshot":
+            snapshot = registry.to_dict()
+            expected = json.dumps(_eager_render(registry))
+            assert json.dumps(snapshot) == expected
+            taken.append((snapshot, expected))
+        elif kind == "counter":
+            registry.counter(name, labels).inc(abs(amount))
+        elif kind == "gauge":
+            gauge = registry.gauge(name, labels)
+            if action == "inc":
+                gauge.inc(amount)
+            else:
+                gauge.set(amount)
+        else:
+            registry.histogram(name, labels).observe(abs(amount))
+    final = registry.to_dict()
+    assert json.dumps(final) == json.dumps(_eager_render(registry))
+    for snapshot, rendered in taken:
+        assert json.dumps(snapshot) == rendered
+
+
+def test_rerender_replaces_only_changed_entries():
+    """A family re-rendered after one label's update reuses every other
+    entry object and leaves the earlier values list untouched."""
+    registry = MetricsRegistry()
+    for tenant in range(8):
+        registry.counter("per_tenant", {"tenant": f"t{tenant}"}).inc()
+    first = registry.to_dict()["per_tenant"]
+    registry.counter("per_tenant", {"tenant": "t3"}).inc()
+    second = registry.to_dict()["per_tenant"]
+    assert second is not first
+    assert [entry["value"] for entry in first["values"]] == [1.0] * 8
+    assert second["values"][3]["value"] == 2.0
+    assert all(second["values"][i] is first["values"][i]
+               for i in range(8) if i != 3)
 
 
 def test_gauge_signed_zero_and_nan_render_exactly():

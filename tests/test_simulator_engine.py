@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.simulator import (
@@ -21,6 +23,22 @@ def test_timeout_advances_clock():
     sim.timeout(5.0)
     sim.run()
     assert sim.now == 5.0
+
+
+def test_next_event_time_tracks_the_heap():
+    sim = Simulator()
+    assert sim.next_event_time == math.inf
+    sim.timeout(5.0)
+    sim.timeout(2.0)
+    assert sim.next_event_time == 2.0
+    sim.run(until=1.0)
+    assert (sim.now, sim.next_event_time) == (1.0, 2.0)
+    sim.run(until=sim.next_event_time)
+    assert (sim.now, sim.next_event_time) == (2.0, 5.0)
+    sim.event().succeed()            # triggered now: due at the current time
+    assert sim.next_event_time == 2.0
+    sim.run()
+    assert (sim.now, sim.next_event_time) == (5.0, math.inf)
 
 
 def test_timeout_carries_value():
