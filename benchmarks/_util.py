@@ -7,7 +7,7 @@ doubles as a regression test on the reproduction.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Iterable, List, Sequence, Tuple
 
 
 def print_table(title: str, headers: Sequence[str],
@@ -62,4 +62,24 @@ def interleaved_pairs(
             b_s, b_payload = run_b()
             a_s, a_payload = run_a()
         results.append((a_s, a_payload, b_s, b_payload))
+    return results
+
+
+async def interleaved_pairs_async(
+    run_a: Callable[[], Awaitable[Tuple[float, Any]]],
+    run_b: Callable[[], Awaitable[Tuple[float, Any]]],
+    pairs: int = 7,
+) -> List[Tuple[float, Any, float, Any]]:
+    """:func:`interleaved_pairs` for coroutine functions (phases that
+    share one event loop with the server they measure); each returns
+    ``(measurement, payload)``."""
+    results = []
+    for index in range(pairs):
+        if index % 2 == 0:
+            a_value, a_payload = await run_a()
+            b_value, b_payload = await run_b()
+        else:
+            b_value, b_payload = await run_b()
+            a_value, a_payload = await run_a()
+        results.append((a_value, a_payload, b_value, b_payload))
     return results

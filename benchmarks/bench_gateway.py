@@ -9,12 +9,15 @@ real wire-protocol load generator in three phases:
 2. **Fairness at 10k** — a 10,000-tenant closed loop (multiplexed over a
    bounded connection pool) runs ~2.2 completions per tenant; Jain's
    index over per-tenant completions must stay >= 0.9.
-3. **Overload** — two open-loop runs with identical machinery: a
-   pre-saturation run offered ~0.5x the measured capacity, then an
-   overload run offered ~3x.  Overload goodput must stay within 20% of
-   the pre-saturation goodput (same-machinery comparison, so client
-   overhead cancels out), and open- vs closed-loop latency under
-   overload is reported side by side.
+3. **Overload** — open-loop runs with identical machinery: a
+   pre-saturation run offered ~0.5x the measured capacity and an
+   overload run offered ~3x, repeated as interleaved pairs.  Overload
+   goodput must stay within 20% of the pre-saturation goodput in the
+   median pair (same-machinery comparison, so client overhead cancels
+   out; one pair's ratio measures the host as much as the code).  Only
+   pairs whose pre-saturation run stayed below saturation count, and
+   most must.  Open- vs closed-loop latency under overload is reported
+   side by side.
 
 Results land in ``BENCH_GATEWAY.json`` at the repo root; ``--smoke``
 runs the same phases at CI scale without rewriting it.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -36,10 +40,10 @@ from repro.service.service import UDCService
 from repro.workloads.loadgen import run_closed_loop, run_open_loop
 
 try:
-    from _util import print_table
+    from _util import interleaved_pairs_async, print_table
 except ImportError:  # running as a script from the repo root
     sys.path.insert(0, str(Path(__file__).parent))
-    from _util import print_table
+    from _util import interleaved_pairs_async, print_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_GATEWAY.json"
@@ -57,6 +61,10 @@ SMOKE_SCALE = (64, 400, 500, 1_100, 4.0)
 JAIN_FLOOR = 0.9
 #: overload goodput must stay within 20% of the pre-saturation peak
 GOODPUT_FLOOR_FRACTION = 0.8
+#: interleaved pre-saturation / overload pairs; the gate reads the
+#: median goodput ratio of the pairs whose pre-saturation run stayed
+#: below saturation
+OVERLOAD_PAIRS = 5
 
 
 async def _run_phases(smoke: bool):
@@ -78,25 +86,46 @@ async def _run_phases(smoke: bool):
             host, port, tenants=jain_tenants, total=jain_total,
             duration_s=300.0, pool_size=256, wait_timeout_s=10.0,
         )
-        presat = await run_open_loop(
-            host, port, rate_per_s=max(peak.goodput_per_s * 0.5, 20.0),
-            duration_s=overload_s, tenants=peak_tenants,
-            pool_size=128, wait_timeout_s=30.0, register=False,
-            max_outstanding=2_000,
-        )
-        overload = await run_open_loop(
-            host, port, rate_per_s=max(peak.goodput_per_s * 3.0, 50.0),
-            duration_s=overload_s, tenants=peak_tenants,
-            pool_size=128, wait_timeout_s=30.0, register=False,
-            max_outstanding=2_000,
+
+        def open_loop(offered_fraction: float, min_rate: float):
+            async def phase():
+                report = await run_open_loop(
+                    host, port,
+                    rate_per_s=max(peak.goodput_per_s * offered_fraction,
+                                   min_rate),
+                    duration_s=overload_s, tenants=peak_tenants,
+                    pool_size=128, wait_timeout_s=30.0, register=False,
+                    max_outstanding=2_000,
+                )
+                return report.goodput_per_s, report
+            return phase
+
+        pairs = await interleaved_pairs_async(
+            open_loop(0.5, 20.0), open_loop(3.0, 50.0), OVERLOAD_PAIRS,
         )
     finally:
         await gateway.shutdown()
-    return peak, fairness, presat, overload
+    return peak, fairness, [(a, b) for _, a, _, b in pairs]
 
 
 def run(smoke: bool = False, write: bool = True) -> dict:
-    peak, fairness, presat, overload = asyncio.run(_run_phases(smoke))
+    peak, fairness, pairs = asyncio.run(_run_phases(smoke))
+    # A pre-saturation run that shed or dropped arrivals did not measure
+    # goodput below saturation (a stall of the shared event loop does
+    # this to some runs on any commit): its pair has no valid ratio.
+    measured = [(presat, overload) for presat, overload in pairs
+                if presat.shed == 0 and presat.dropped == 0]
+    assert len(measured) > len(pairs) // 2, (
+        f"{len(pairs) - len(measured)} of {len(pairs)} pre-saturation runs "
+        f"were not actually below saturation"
+    )
+    # The gate reads the median pair; its runs are the ones reported.
+    ratios = [overload.goodput_per_s / presat.goodput_per_s
+              if presat.goodput_per_s else 0.0
+              for presat, overload in measured]
+    median_ratio = statistics.median(ratios)
+    presat, overload = measured[sorted(
+        range(len(measured)), key=ratios.__getitem__)[len(measured) // 2]]
 
     goodput_floor = GOODPUT_FLOOR_FRACTION * presat.goodput_per_s
     gates = {
@@ -107,9 +136,12 @@ def run(smoke: bool = False, write: bool = True) -> dict:
         "presat_goodput_per_s": round(presat.goodput_per_s, 2),
         "overload_goodput_per_s": round(overload.goodput_per_s, 2),
         "overload_goodput_floor_per_s": round(goodput_floor, 2),
-        "overload_goodput_ok": overload.goodput_per_s >= goodput_floor,
-        "errors": (peak.errors + fairness.errors + presat.errors
-                   + overload.errors),
+        "presat_saturated_runs": len(pairs) - len(measured),
+        "overload_goodput_ratios": [round(r, 4) for r in ratios],
+        "overload_goodput_ratio_median": round(median_ratio, 4),
+        "overload_goodput_ok": median_ratio >= GOODPUT_FLOOR_FRACTION,
+        "errors": (peak.errors + fairness.errors
+                   + sum(a.errors + b.errors for a, b in pairs)),
     }
     payload = {
         "scale": "smoke" if smoke else "full",
@@ -141,9 +173,10 @@ def run(smoke: bool = False, write: bool = True) -> dict:
         rows,
     )
     print(f"\ngates: jain {gates['jain']} >= {JAIN_FLOOR}: "
-          f"{gates['jain_ok']}; overload goodput "
-          f"{gates['overload_goodput_per_s']}/s >= "
-          f"{gates['overload_goodput_floor_per_s']}/s: "
+          f"{gates['jain_ok']}; overload/pre-saturation goodput, median "
+          f"of {len(measured)} of {len(pairs)} interleaved pairs, "
+          f"{gates['overload_goodput_ratio_median']} >= "
+          f"{GOODPUT_FLOOR_FRACTION} ({gates['overload_goodput_ratios']}): "
           f"{gates['overload_goodput_ok']}; errors: {gates['errors']}")
 
     if write and not smoke:
@@ -154,16 +187,14 @@ def run(smoke: bool = False, write: bool = True) -> dict:
         print(f"wrote {RESULT_PATH}")
 
     assert gates["errors"] == 0, "load generation hit transport errors"
-    assert presat.shed == 0 and presat.dropped == 0, (
-        "pre-saturation run was not actually below saturation"
-    )
     assert gates["jain_ok"], (
         f"Jain {gates['jain']} under the {JAIN_FLOOR} fairness floor "
         f"at {fairness.tenants} tenants"
     )
     assert gates["overload_goodput_ok"], (
-        f"shedding failed to hold goodput: {gates['overload_goodput_per_s']}"
-        f"/s under the floor {gates['overload_goodput_floor_per_s']}/s"
+        f"shedding failed to hold goodput: median overload/pre-saturation "
+        f"ratio {gates['overload_goodput_ratio_median']} under "
+        f"{GOODPUT_FLOOR_FRACTION} (pairs {gates['overload_goodput_ratios']})"
     )
     return payload
 

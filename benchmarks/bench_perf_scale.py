@@ -40,9 +40,11 @@ Results land in ``BENCH_PERF.json`` at the repo root (see
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -57,10 +59,10 @@ from repro.hardware.pools import AllocationError, ResourcePool
 from repro.hardware.topology import DatacenterSpec, build_datacenter
 
 try:
-    from _util import print_table
+    from _util import interleaved_pairs, print_table
 except ImportError:  # running as a script from the repo root
     sys.path.insert(0, str(Path(__file__).parent))
-    from _util import print_table
+    from _util import interleaved_pairs, print_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_PERF.json"
@@ -92,6 +94,9 @@ SCALE_OUT_PLACEMENTS = 20_000
 SMOKE_CELL_FLEET = 12_800
 SMOKE_CELL_COUNTS = [1, 4]
 SMOKE_CELL_PLACEMENTS = 6_000
+#: interleaved 1-cell / 4-cell pairs behind the smoke scaling gate: it
+#: reads their median CPU-time ratio, not one wall-clock pass per count
+SMOKE_CELL_PAIRS = 7
 
 
 def build_pool(n_devices: int, indexed: bool) -> ResourcePool:
@@ -241,8 +246,10 @@ def build_sharded_fleet(n_devices: int, n_cells: int):
     return cells, CellRouter(cells)
 
 
-def run_cells_ops(cells, router: CellRouter, ops) -> Tuple[float, int]:
-    """Replay ``ops`` through the router; returns (elapsed_s, placements).
+def run_cells_ops(cells, router: CellRouter, ops,
+                  clock=time.perf_counter) -> Tuple[float, int]:
+    """Replay ``ops`` through the router; returns (elapsed_s, placements),
+    elapsed as measured by ``clock``.
 
     Every alloc is routed by the cell order for its amount and spills to
     the next cell on rejection — the same deterministic walk the sharded
@@ -252,7 +259,7 @@ def run_cells_ops(cells, router: CellRouter, ops) -> Tuple[float, int]:
     pools = [cell.pool(cpu) for cell in cells]
     live: List[Tuple] = []
     placements = 0
-    start = time.perf_counter()
+    start = clock()
     for op in ops:
         if op[0] == "release":
             if live:
@@ -279,7 +286,7 @@ def run_cells_ops(cells, router: CellRouter, ops) -> Tuple[float, int]:
             alloc, pool = live.pop(0)
             pool.release(alloc)
         placements += 1
-    elapsed = time.perf_counter() - start
+    elapsed = clock() - start
     return elapsed, placements
 
 
@@ -333,6 +340,26 @@ def check_regression(results: List[dict], baseline: Optional[dict]) -> List[str]
     return failures
 
 
+def cells_scaling(n_devices: int, n_cells: int, n_placements: int,
+                  pairs: int) -> Tuple[float, List[float]]:
+    """Aggregate-rate scaling from 1 to ``n_cells`` cells: the median,
+    over ``pairs`` interleaved runs, of 1-cell / ``n_cells``-cell process
+    CPU time for the same ops (both place every op, so the time ratio is
+    the rate ratio).  Returns (median, per-pair ratios)."""
+    ops = generate_ops(n_devices, n_placements)
+
+    def timed(count: int):
+        def run():
+            cells, router = build_sharded_fleet(n_devices, count)
+            gc.collect()
+            return run_cells_ops(cells, router, ops, clock=time.process_time)
+        return run
+
+    ratios = [one_s / many_s for one_s, _, many_s, _ in
+              interleaved_pairs(timed(1), timed(n_cells), pairs)]
+    return statistics.median(ratios), ratios
+
+
 def run_cells_mode(smoke: bool = False) -> dict:
     """The sharded-control-plane half of the bench.
 
@@ -355,10 +382,14 @@ def run_cells_mode(smoke: bool = False) -> dict:
     )
     by_cells = {r["cells"]: r["rate_per_s"] for r in fixed}
     if smoke:
-        scaling_1_to_4 = by_cells[4] / by_cells[1]
+        scaling_1_to_4, ratios = cells_scaling(fleet, 4, n_placements,
+                                               SMOKE_CELL_PAIRS)
+        print(f"1->4 cells, median of {len(ratios)} interleaved CPU-time "
+              f"pairs: {scaling_1_to_4:.2f}x "
+              f"({', '.join(f'{r:.2f}' for r in ratios)})")
         assert scaling_1_to_4 >= 1.7, (
             f"1->4 cells scaled only {scaling_1_to_4:.2f}x "
-            f"(>=1.7x required): {by_cells}"
+            f"(>=1.7x required; per-pair ratios {ratios})"
         )
         return {"fleet": fleet, "fixed_fleet": fixed,
                 "scaling_1_to_4": round(scaling_1_to_4, 2)}

@@ -48,6 +48,8 @@ SRC = REPO / "src" / "repro"
 TARGETS = [
     SRC / "core" / "cells.py",
     SRC / "core" / "scheduler.py",
+    # compiled templates hold the candidate order placement walks
+    SRC / "core" / "template.py",
     SRC / "hardware" / "pools.py",
     SRC / "service",
     SRC / "simulator",

@@ -23,9 +23,9 @@ the :class:`~repro.service.UDCService` front door.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.analysis.conflicts import conflict_pass
+from repro.analysis.conflicts import _conflicts, conflict_pass
 from repro.analysis.diagnostics import (
     CODE_CATALOG,
     AnalysisError,
@@ -92,6 +92,25 @@ def analyze_definition(
     ``tenant_tier`` (``"firm"`` / ``"spot"``) unlocks the tier-aware
     contradiction checks (UDC015).
     """
+    return _analyze(definition, app, datacenter, quota=quota,
+                    in_flight=in_flight, submitted=submitted,
+                    tenant_tier=tenant_tier)
+
+
+def _analyze(
+    definition: Any,
+    app: Optional[ModuleDAG],
+    datacenter: Optional[Union[Datacenter, DatacenterSpec]],
+    *,
+    quota: Optional[TenantQuota] = None,
+    in_flight: int = 0,
+    submitted: int = 0,
+    tenant_tier: Optional[str] = None,
+    task_graph: Optional[Mapping[str, List[str]]] = None,
+) -> AnalysisReport:
+    """:func:`analyze_definition`, for the serving layer: ``task_graph``
+    is ``app``'s effective task graph, which the service already holds
+    (one per app shape) and which must match ``app``."""
     try:
         parsed = _coerce_definition(definition)
     except SpecError as exc:
@@ -108,8 +127,8 @@ def analyze_definition(
         datacenter = build_datacenter(datacenter)
     dc_spec = datacenter.spec if datacenter is not None else None
 
-    findings = list(conflict_pass(parsed, app=app, datacenter_spec=dc_spec,
-                                  tenant_tier=tenant_tier))
+    findings = list(_conflicts(parsed, app, dc_spec, tenant_tier,
+                               task_graph))
     findings += feasibility_pass(
         parsed, app=app, datacenter=datacenter,
         quota=quota, in_flight=in_flight, submitted=submitted,

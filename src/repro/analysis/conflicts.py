@@ -86,9 +86,11 @@ def _min_attempt_cost(task: TaskModule, bundle: AspectBundle,
 
 
 def _critical_path_lower_bounds(app: ModuleDAG, definition: UserDefinition,
-                                datacenter_spec: Optional[DatacenterSpec]):
+                                datacenter_spec: Optional[DatacenterSpec],
+                                graph=None):
     """Per task: optimistic seconds from the app's start through it."""
-    graph = app.effective_task_graph()
+    if graph is None:
+        graph = app.effective_task_graph()
     lower = {}
     # A task cycle (the structural pass's UDC030) has no stages, and no
     # lower bound is derivable.
@@ -114,6 +116,15 @@ def conflict_pass(
     (``"firm"`` / ``"spot"``) when the serving layer lints a submission;
     the CLI leaves it unset.
     """
+    return _conflicts(definition, app, datacenter_spec, tenant_tier)
+
+
+def _conflicts(definition: UserDefinition, app: Optional[ModuleDAG],
+               datacenter_spec: Optional[DatacenterSpec],
+               tenant_tier: Optional[str],
+               task_graph=None) -> List[Diagnostic]:
+    """:func:`conflict_pass`, reading ``app``'s effective task graph
+    from ``task_graph`` when the caller already holds it."""
     findings: List[Diagnostic] = []
 
     # UDC014 — definition modules the app does not contain.  Everything
@@ -247,7 +258,8 @@ def conflict_pass(
     # be met, on any hardware the catalog offers.
     if app is not None:
         lower_bounds = _critical_path_lower_bounds(app, definition,
-                                                   datacenter_spec)
+                                                   datacenter_spec,
+                                                   task_graph)
         for name in sorted(lower_bounds):
             dist = definition.bundle_for(name).distributed
             if dist is None or dist.deadline_s is None:

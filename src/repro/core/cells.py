@@ -208,6 +208,16 @@ class CellRouter:
 
     def __init__(self, cells: List[Datacenter], telemetry=None):
         self.cells = cells
+        #: device type -> per cell (pool, one device's capacity), or None
+        #: where the cell has no such pool: one lookup per demanded type
+        self._columns: Dict[DeviceType, List[Optional[Tuple[ResourcePool,
+                                                            float]]]] = {}
+        for cell_id, cell in enumerate(cells):
+            for device_type, pool in cell.pools.pools.items():
+                column = self._columns.setdefault(
+                    device_type, [None] * len(cells))
+                column[cell_id] = (pool,
+                                   cell.spec.spec_for(device_type).capacity)
         self.telemetry = telemetry
         #: spills observed (first-choice cell rejected), telemetry aside
         self.spills = 0
@@ -221,32 +231,35 @@ class CellRouter:
             for device_type in cell.spec.all_device_types()
         }
 
-    def _score(
-        self, cell: Datacenter, demand: Dict[DeviceType, float]
-    ) -> Tuple[int, float]:
-        """(feasible, headroom): feasible sorts before infeasible, then
-        the most worst-case headroom wins."""
-        feasible = 1
-        headroom = float("inf")
-        for device_type, amount in demand.items():
-            if device_type not in cell.pools:
-                return 0, float("-inf")
-            pool = cell.pool(device_type)
-            shard = min(amount, cell.spec.spec_for(device_type).capacity)
-            if pool.max_free() + 1e-9 < shard:
-                feasible = 0
-            headroom = min(headroom, pool.total_free - amount)
-        return feasible, headroom
-
     def order(self, demand: Dict[DeviceType, float]) -> List[int]:
-        """Cells to try, best first; always covers every cell."""
-        scores = [
-            self._score(cell, demand) for cell in self.cells
-        ]
-        return sorted(
-            range(len(self.cells)),
-            key=lambda i: (-scores[i][0], -scores[i][1], i),
-        )
+        """Cells to try, best first; always covers every cell.
+
+        A cell is scored (feasible, headroom): feasible sorts before
+        infeasible, then the most worst-case headroom wins, then the
+        lower cell id.
+        """
+        count = len(self.cells)
+        feasible = [1] * count
+        headroom = [float("inf")] * count
+        absent = [False] * count   # lacks a demanded type: ranked last
+        missing = [None] * count
+        for device_type, amount in demand.items():
+            column = self._columns.get(device_type, missing)
+            for cell_id in range(count):
+                if absent[cell_id]:
+                    continue
+                entry = column[cell_id]
+                if entry is None:
+                    absent[cell_id] = True
+                    feasible[cell_id], headroom[cell_id] = 0, float("-inf")
+                    continue
+                pool, capacity = entry
+                if pool.max_free() + 1e-9 < min(amount, capacity):
+                    feasible[cell_id] = 0
+                headroom[cell_id] = min(headroom[cell_id],
+                                        pool.total_free - amount)
+        return sorted(range(count),
+                      key=lambda i: (-feasible[i], -headroom[i], i))
 
     def record_placement(self, cell_id: int, hops: int) -> None:
         """Account one routed placement; ``hops`` > 0 means the first

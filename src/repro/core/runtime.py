@@ -43,6 +43,7 @@ from repro.core.report import ModuleRow, RunResult
 from repro.core.scheduler import SchedulerError, TaskPlacement, UdcScheduler
 from repro.core.spec import UserDefinition, parse_definition
 from repro.core.telemetry import Telemetry
+from repro.core.template import AppTemplate, AppView
 from repro.core.tuner import FineTuner
 from repro.core.verify import FulfillmentRecord
 from repro.distsem.checkpoint import CheckpointStore
@@ -140,11 +141,9 @@ class Submission:
     cost_ledger: List[Tuple[Any, float]] = field(default_factory=list)
     settled_cost: float = 0.0
     result: Optional[RunResult] = None
-    #: the deploy arguments, kept so a queued or preempted submission
-    #: can (re)deploy through the admission queue
-    definition: Any = field(default=None, repr=False)
-    #: the service's SubmissionKey; every (re)deploy reuses it
-    key: Any = field(default=None, repr=False)
+    #: the compiled app (admission result, DAG view, device plans); a
+    #: queued or preempted submission (re)deploys from it
+    template: Optional[AppTemplate] = field(default=None, repr=False)
     dishonest_env: Optional[Dict[str, EnvKind]] = field(default=None, repr=False)
     attach_stores: Optional[Dict[str, ReplicatedStore]] = field(default=None, repr=False)
     #: ``[(sim_time, failure_domain_name), ...]``: injected by the deploy
@@ -252,6 +251,12 @@ class UDCRuntime:
         #: allocation id -> owning submission (for cost settlement)
         self._owner_of: Dict[str, Submission] = {}
         self._submissions: List[Submission] = []
+        #: uncollected submissions, by seq in submit order: what drain
+        #: walks, so a drain costs O(open work), not O(history)
+        self._open: Dict[int, Submission] = {}
+        #: submissions whose stores may still need healing (uncollected,
+        #: or persistent and not decommissioned), by seq in submit order
+        self._holding: Dict[int, Submission] = {}
         self._deferred: List[DeferredSubmission] = []
         self._admission_queue: List[Submission] = []
         self._retry_scheduled = False
@@ -261,9 +266,9 @@ class UDCRuntime:
             admission_policy if admission_policy is not None
             else FifoAdmission()
         )
-        #: optional admission-template cache (duck-typed: lookup/store),
-        #: keyed by each submission's SubmissionKey; installed by
-        #: UDCService in batched mode
+        #: optional template cache (duck-typed: lookup/store/view), keyed
+        #: by each submission's SubmissionKey; installed by UDCService in
+        #: batched mode (one memo shared by every cell)
         self.admission_memo = None
         #: optional tenant -> tier rank hook (0 = firm, 1 = spot),
         #: installed by UDCService so admission retries favor firm work;
@@ -273,32 +278,30 @@ class UDCRuntime:
 
     # ------------------------------------------------------------------ admission
 
-    def admit(
+    def compile(
         self,
         dag: ModuleDAG,
         definition: Union[UserDefinition, Dict, None],
-        tenant: str,
         key=None,
-    ) -> Tuple[Dict[str, UDCObject], ConflictResolution]:
-        """Validate, default-fill, and conflict-resolve one application
-        (from :attr:`admission_memo` when ``key``, the submission's
-        :class:`~repro.service.cache.SubmissionKey`, is given)."""
+    ) -> AppTemplate:
+        """Validate, default-fill and conflict-resolve one application,
+        and compile everything placement reads about it into an
+        :class:`~repro.core.template.AppTemplate`.
+
+        With ``key`` (the submission's
+        :class:`~repro.service.cache.SubmissionKey`) and an
+        :attr:`admission_memo`, equal submissions share one template.
+        """
+        memo = self.admission_memo if key is not None else None
+        if memo is not None:
+            memo_key = key.admission(self.conflict_policy)
+            template = memo.lookup(memo_key)
+            if template is not None:
+                return template
         if hasattr(definition, "build_definition"):
             # A fluent DefinitionBuilder (repro.define()): compile it
             # through parse_definition so diagnostics are identical.
             definition = definition.build_definition()
-        memo = self.admission_memo if key is not None else None
-        if memo is not None:
-            memo_key = key.admission(self.conflict_policy)
-            cached = memo.lookup(memo_key)
-            if cached is not None:
-                resolution, bundles = cached
-                objects = {
-                    name: UDCObject(module=module, aspects=bundles[name],
-                                    tenant=tenant)
-                    for name, module in dag.modules.items()
-                }
-                return objects, resolution
         dag.validate()
         if definition is None:
             parsed = UserDefinition()
@@ -314,18 +317,22 @@ class UDCRuntime:
             )
         resolution = resolve_conflicts(dag, parsed, self.conflict_policy)
         resolved = resolution.definition
-
-        objects: Dict[str, UDCObject] = {}
-        bundles: Dict[str, Any] = {}
-        for name, module in dag.modules.items():
-            bundle = resolved.bundle_for(name).with_defaults(
-                provider_defaults(module)
-            )
-            bundles[name] = bundle
-            objects[name] = UDCObject(module=module, aspects=bundle, tenant=tenant)
+        bundles = {
+            name: resolved.bundle_for(name).with_defaults(
+                provider_defaults(module))
+            for name, module in dag.modules.items()
+        }
+        template = AppTemplate(
+            memo.view(key.shape, dag) if memo is not None else AppView(dag),
+            bundles, resolution=resolution,
+            persistent=any(
+                bundle.distributed is not None and bundle.distributed.persistent
+                for bundle in parsed.bundles.values()
+            ),
+        )
         if memo is not None:
-            memo.store(memo_key, resolution, bundles)
-        return objects, resolution
+            memo.store(memo_key, template)
+        return template
 
     # ------------------------------------------------------------------ placement
 
@@ -365,20 +372,21 @@ class UDCRuntime:
         submission.cost_ledger.append((allocation, self.sim.now))
         self._owner_of[allocation.alloc_id] = submission
 
-    def _prewarm_for(self, objects: Dict[str, UDCObject], dag: ModuleDAG) -> None:
+    def _prewarm_for(self, objects: Dict[str, UDCObject],
+                     template: AppTemplate) -> None:
         """Stock the warm pool with the env shapes this app will request —
         the provider's standing bundled-unit inventory (Principle 3)."""
         if not (self.prewarm and self.warm_pool.enabled):
             return
+        plan = template.cell_plan(self.datacenter)
+        scheduler = self.scheduler
         needed: Dict[Tuple[EnvKind, bool], int] = {}
         for name, obj in objects.items():
             if not obj.is_task:
                 continue
-            aspect = obj.aspects.resource
-            task = obj.module
-            device_type = self.scheduler._choose_device_type(task, aspect)
-            env_kind, single = self.scheduler._resolve_env_kind(obj, device_type)
-            needed[(env_kind, single)] = needed.get((env_kind, single), 0) + 1
+            device_type = scheduler.choose_device_type(plan.devices[name])
+            shape = scheduler.resolve_env(plan.envs[name], device_type)
+            needed[shape] = needed.get(shape, 0) + 1
         for (env_kind, single), count in needed.items():
             self.warm_pool.prewarm(env_kind, single, count)
 
@@ -431,7 +439,7 @@ class UDCRuntime:
         attach_stores: Optional[Dict[str, ReplicatedStore]] = None,
         persistent: bool = False,
         queue_if_full: bool = False,
-        key=None,
+        template: Optional[AppTemplate] = None,
     ) -> Submission:
         """Admit and deploy one application without running the clock.
 
@@ -452,13 +460,18 @@ class UDCRuntime:
         work releases resources (overload behavior, E21) instead of
         raising.  Retry order follows :attr:`admission_policy` (FIFO by
         default).  Submissions that never fit surface as
-        ``status == "unplaceable"`` at drain.  ``key``: see :meth:`admit`.
+        ``status == "unplaceable"`` at drain.  ``template``: the app as
+        :meth:`compile` already compiled it (then ``definition`` is not
+        read); without one, it is compiled here.
         """
+        seq = next(self._seq_counter)
+        if template is None:
+            template = self.compile(app, definition)
         submission = Submission(
-            dag=app, tenant=tenant, inputs=inputs or {},
-            seq=next(self._seq_counter), persistent=persistent,
-            definition=definition, dishonest_env=dishonest_env,
-            attach_stores=attach_stores, failure_plan=failure_plan, key=key,
+            dag=app, tenant=tenant, inputs=inputs or {}, seq=seq,
+            persistent=persistent, template=template,
+            dishonest_env=dishonest_env, attach_stores=attach_stores,
+            failure_plan=failure_plan,
         )
         try:
             self._deploy(submission)
@@ -474,6 +487,8 @@ class UDCRuntime:
                 self.sim.now, app.name, "admission-queued", str(exc)
             )
         self._submissions.append(submission)
+        self._open[seq] = submission
+        self._holding[seq] = submission
         return submission
 
     def _rollback(self, submission: Submission) -> None:
@@ -591,13 +606,13 @@ class UDCRuntime:
         dag = submission.dag
         tenant = submission.tenant
         dishonest_env = submission.dishonest_env
-        objects, resolution = self.admit(dag, submission.definition, tenant,
-                                         submission.key)
+        template = submission.template
+        objects = template.instantiate(dag, tenant)
         submission.objects = objects
-        submission.resolution = resolution
-        self._prewarm_for(objects, dag)
+        submission.resolution = template.resolution
+        self._prewarm_for(objects, template)
         submission.stores = self._deploy_data(submission)
-        placements = self.scheduler.place_tasks(objects, dag)
+        placements = self.scheduler.place_tasks(objects, dag, template)
         for name in placements:
             # compute + memory + any hot-standby replicas, all pay-per-use
             for allocation in objects[name].allocations:
@@ -631,7 +646,7 @@ class UDCRuntime:
                     self.injector.domain(f"fd:{name}:r{index}") \
                         .add_device(allocation.device)
         live: Dict[str, _LiveTask] = {}
-        graph = dag.effective_task_graph()
+        graph = template.view.graph
         for name, placement in placements.items():
             obj = objects[name]
             dist = obj.aspects.distributed or DistributedAspect()
@@ -707,7 +722,9 @@ class UDCRuntime:
         Raises the same SchedulerError/ConflictError a real submission
         would, with the offending module named.
         """
-        objects, resolution = self.admit(app, definition, tenant)
+        template = self.compile(app, definition)
+        objects = template.instantiate(app, tenant)
+        resolution = template.resolution
         rows: List[Dict[str, Any]] = []
         try:
             for name, obj in sorted(objects.items()):
@@ -724,7 +741,7 @@ class UDCRuntime:
                         "hourly_cost": sum(a.hourly_cost
                                            for a in placement.allocations),
                     })
-            placements = self.scheduler.place_tasks(objects, app)
+            placements = self.scheduler.place_tasks(objects, app, template)
             for name, placement in sorted(placements.items()):
                 rows.append({
                     "module": name,
@@ -774,10 +791,9 @@ class UDCRuntime:
             )
         self._admission_queue = []
         results = []
-        for submission in self._submissions:
-            if submission.result is None:
-                submission.result = self._collect(submission)
-                results.append(submission.result)
+        for submission in list(self._open.values()):
+            submission.result = self._collect(submission)
+            results.append(submission.result)
         return results
 
     def collect(self, submission: Submission) -> RunResult:
@@ -802,6 +818,9 @@ class UDCRuntime:
         return submission.result
 
     def _collect(self, submission: Submission) -> RunResult:
+        del self._open[submission.seq]
+        if not submission.persistent or submission.status == "unplaceable":
+            self._holding.pop(submission.seq, None)
         if submission.status == "unplaceable":
             # Never deployed: an empty report that says so.
             return RunResult(app=submission.dag.name,
@@ -1497,7 +1516,7 @@ class UDCRuntime:
             # degrade timing but lose no replicas; the resilience
             # policies — not store healing — absorb them.
             return
-        for submission in self._submissions:
+        for submission in self._holding.values():
             for name, store in submission.stores.items():
                 if not any(r.device.failed for r in store.replicas):
                     continue
@@ -1621,6 +1640,7 @@ class UDCRuntime:
         the final bill.
         """
         before = submission.settled_cost
+        self._holding.pop(submission.seq, None)
         for obj in submission.objects.values():
             self._release_task(submission, obj)
         delta = submission.settled_cost - before

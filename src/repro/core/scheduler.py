@@ -19,6 +19,12 @@ Decisions, in order:
 4. **Environment** — the concrete env kind if named, else the provider's
    pick for the requested isolation tier on the chosen device type.
 5. **Memory** — `mem_gb` from the DRAM pool, same rack when possible.
+
+The static half of decisions 1, 3 and 4 — candidate types in goal
+order, environment kind per type, groups and locality inputs — is
+compiled once per app shape into the submission's
+:class:`~repro.core.template.AppTemplate`; placement decides only what
+depends on live capacity.
 """
 
 from __future__ import annotations
@@ -26,18 +32,19 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.appmodel.dag import ModuleDAG
-from repro.appmodel.module import DataModule, TaskModule
+from repro.appmodel.dag import DagValidationError, ModuleDAG
+from repro.appmodel.module import DataModule
 from repro.core.aspects import ResourceAspect, ResourceGoal
 from repro.core.bundle import BundleManager, ResourceUnit
 from repro.core.objects import UDCObject
 from repro.core.observability import NULL_SPAN, Span
 from repro.core.telemetry import Telemetry
+from repro.core.template import (AppTemplate, AppView, CellPlan, DeviceChoice,
+                                 EnvChoice)
 from repro.distsem.replication import PlacementResult, ReplicaPlacer, ReplicationPolicy
-from repro.execenv.environments import EnvKind, environments_for_level
-from repro.execenv.isolation import IsolationLevel
+from repro.execenv.environments import EnvKind
 from repro.hardware.devices import Device, DeviceType
 from repro.hardware.fabric import Location
 from repro.hardware.pools import Allocation, AllocationError
@@ -66,48 +73,22 @@ class TaskPlacement:
     compute_rate: float
 
 
-class _DagMemo:
-    """Pure structural facts about one DAG, computed once per batch round.
-
-    ``pulls`` maps each task to the static half of its locality inputs —
-    (source module name, byte weight) in the exact order the serial path
-    scans them (edges first, then affinity hints), so the memoized cost
-    sums are bit-identical to the uncached ones.
-    """
-
-    __slots__ = ("dag", "groups", "stages", "pulls")
-
-    def __init__(self, dag: ModuleDAG):
-        self.dag = dag  # strong ref: keeps id(dag) stable for the round
-        self.groups = dag.merged_colocation_groups()
-        self.stages = dag.task_stages()
-        pulls: Dict[str, List[Tuple[str, int]]] = {}
-        for edge in dag.edges:
-            pulls.setdefault(edge.dst, []).append(
-                (edge.src, edge.bytes_transferred)
-            )
-        for (task_name, data_name), weight in dag.affinities.items():
-            pulls.setdefault(task_name, []).append((data_name, weight))
-        self.pulls = pulls
-
-
 class _BatchCache:
     """Round-scoped memos for :meth:`UdcScheduler.batch_round`.
 
     Everything cached here is a pure function of inputs that cannot
     change while a round is open: the simulation clock does not advance
-    between placements (no execution, failures, or partitions), so DAG
-    structure, fabric transfer times, and the resulting argmin rack
-    choices are all frozen.  Serial submissions interleave with
-    execution, where none of this holds — which is why these memos only
-    exist inside a round.
+    between placements (no execution, failures, or partitions), so
+    fabric transfer times and the resulting argmin rack choices are
+    frozen.  (DAG structure is frozen for good: it lives in each
+    submission's :class:`~repro.core.template.AppTemplate`.)  Serial
+    submissions interleave with execution, where none of this holds —
+    which is why these memos only exist inside a round.
     """
 
-    __slots__ = ("dags", "transfers", "locations")
+    __slots__ = ("transfers", "locations")
 
     def __init__(self):
-        #: id(dag) -> _DagMemo (the memo holds the dag alive)
-        self.dags: Dict[int, _DagMemo] = {}
         #: (src, dst, size_bytes) -> seconds
         self.transfers: Dict[Tuple[Location, Location, int], float] = {}
         #: (pulls tuple, candidate-racks tuple) -> argmin rack
@@ -173,18 +154,6 @@ class UdcScheduler:
         """Whether to emit per-placement latency/span telemetry."""
         return self.telemetry.enabled and not self._in_batch
 
-    def _dag_memo(self, dag: ModuleDAG) -> Optional[_DagMemo]:
-        """The round's structural memo for ``dag``, or None outside a
-        batch round (serial placements recompute, since the DAG may be
-        mutated between independent submissions)."""
-        batch = self._batch
-        if batch is None:
-            return None
-        memo = batch.dags.get(id(dag))
-        if memo is None or memo.dag is not dag:
-            memo = batch.dags[id(dag)] = _DagMemo(dag)
-        return memo
-
     # -- batched placement ----------------------------------------------------
 
     @contextmanager
@@ -199,11 +168,11 @@ class UdcScheduler:
         round — the control-plane cost is paid once, not per app.
 
         The round also installs a :class:`_BatchCache`: because the clock
-        is frozen for the whole round, DAG structure, fabric transfer
-        times, and locality argmins are pure and memoized across the
-        round's placements.  Cached values reproduce the serial
-        computation bit-for-bit (same scan order, same float summation
-        order, same argmin tie-breaks), so decisions stay byte-identical.
+        is frozen for the whole round, fabric transfer times and locality
+        argmins are pure and memoized across the round's placements.
+        Cached values reproduce the serial computation bit-for-bit (same
+        scan order, same float summation order, same argmin tie-breaks),
+        so decisions stay byte-identical.
         """
         if self._in_batch:  # nesting is a no-op: the outer round owns it
             yield
@@ -288,79 +257,68 @@ class UdcScheduler:
     # -- task placement ---------------------------------------------------------
 
     def place_tasks(
-        self, objects: Dict[str, UDCObject], dag: ModuleDAG
+        self, objects: Dict[str, UDCObject], dag: ModuleDAG,
+        template: Optional[AppTemplate] = None,
     ) -> Dict[str, TaskPlacement]:
-        """Place every task object, honoring co-location groups."""
+        """Place every task object, honoring co-location groups.
+
+        ``template`` is the submission's compiled
+        :class:`~repro.core.template.AppTemplate`; without one, the
+        objects' own aspects are compiled for this call.
+        """
+        if template is None:
+            template = AppTemplate.of_objects(dag, objects)
+        view = template.view
+        plan = template.cell_plan(self.datacenter)
         placements: Dict[str, TaskPlacement] = {}
-        memo = self._dag_memo(dag)
-        groups = memo.groups if memo else dag.merged_colocation_groups()
-        grouped: Set[str] = set().union(*groups) if groups else set()
-
-        for group in groups:
-            members = [objects[name] for name in sorted(group) if name in objects]
-            if members:
-                placements.update(self._place_group(members, objects, dag))
-
-        for stage in memo.stages if memo else dag.task_stages():
+        for members, choice in plan.groups:
+            placements.update(self._place_group(
+                [objects[name] for name in members], objects, view, plan,
+                choice,
+            ))
+        if view.stages is None:
+            raise DagValidationError(f"app {dag.name!r} has a task cycle")
+        grouped = view.grouped
+        for stage in view.stages:
             for name in stage:
                 if name in grouped or name not in objects:
                     continue
                 obj = objects[name]
                 if obj.is_task:
-                    placements[name] = self._place_single(obj, objects, dag)
+                    placements[name] = self._place_single(obj, objects,
+                                                          view, plan)
         return placements
 
-    def _choose_device_type(
-        self, task: TaskModule, aspect: ResourceAspect
-    ) -> DeviceType:
-        if aspect.device is not None:
-            if aspect.device not in task.device_candidates:
-                raise SchedulerError(
-                    f"{task.name}: aspect demands {aspect.device.value} but the "
-                    f"developer's candidate set is "
-                    f"{sorted(d.value for d in task.device_candidates)}"
-                )
-            return aspect.device
-        available = [
-            d for d in task.device_candidates if d in self.datacenter.pools
-        ]
-        if not available:
-            raise SchedulerError(
-                f"{task.name}: none of the candidate device types exist in "
-                f"this datacenter"
-            )
-        # §3.2: goal-directed selection happens "based on load and
-        # available hardware at the run time" — a candidate type whose
-        # pool cannot currently host even the smallest grain is skipped
-        # (falling back to the full set only if every pool is exhausted,
-        # so the error message names the preferred type).
-        def has_capacity(device_type: DeviceType) -> bool:
-            pool = self.datacenter.pool(device_type)
-            grain = self.datacenter.spec.spec_for(device_type).min_grain
-            needed = aspect.amount if aspect.amount is not None else grain
-            shard = min(needed,
-                        self.datacenter.spec.spec_for(device_type).capacity)
-            # Any live device with enough free space <=> the pool's max
-            # free clears the shard — O(1) off the pool's free index.
-            return pool.max_free() + 1e-9 >= shard
+    def choose_device_type(self, choice: DeviceChoice) -> DeviceType:
+        """The first of ``choice``'s goal-ordered candidate types whose
+        pool can host its shard right now, else the most preferred one
+        (so a capacity error names the preferred type)."""
+        if choice.error is not None:
+            raise SchedulerError(choice.error)
+        options = choice.options
+        if len(options) > 1:
+            pool = self.datacenter.pool
+            for device_type, shard in options:
+                # Any live device with enough free space <=> the pool's
+                # max free clears the shard — O(1) off the free index.
+                if pool(device_type).max_free() + 1e-9 >= shard:
+                    return device_type
+        return options[0][0]
 
-        with_capacity = [d for d in available if has_capacity(d)]
-        candidates = with_capacity or available
-        goal = aspect.goal or ResourceGoal.CHEAPEST
-        specs = {d: self.datacenter.spec.spec_for(d) for d in candidates}
-        if goal == ResourceGoal.FASTEST:
-            return max(candidates, key=lambda d: specs[d].compute_rate)
-        # CHEAPEST: minimize cost to finish a unit of work.
-        return min(
-            candidates,
-            key=lambda d: specs[d].unit_price_hour / max(specs[d].compute_rate, 1e-9),
-        )
+    @staticmethod
+    def resolve_env(envs: Dict[DeviceType, EnvChoice],
+                    device_type: DeviceType) -> Tuple[EnvKind, bool]:
+        """``(env kind, single tenant)`` for a task on ``device_type``."""
+        env = envs[device_type]
+        if isinstance(env, str):
+            raise SchedulerError(env)
+        return env
 
     def _preferred_location(
         self,
         name: str,
         objects: Dict[str, UDCObject],
-        dag: ModuleDAG,
+        view: AppView,
         device_type: DeviceType,
     ) -> Optional[Location]:
         """Pick the rack minimizing input-transfer cost (locality, E6).
@@ -377,25 +335,10 @@ class UdcScheduler:
             return racks[self._rr_rack % len(racks)]
         batch = self._batch
         pulls: List[Tuple[Location, int]] = []
-        memo = self._dag_memo(dag)
-        if memo is not None:
-            for src_name, size in memo.pulls.get(name, ()):
-                upstream = objects.get(src_name)
-                if upstream is not None and upstream.location is not None:
-                    pulls.append((upstream.location, size))
-        else:
-            for edge in dag.edges:
-                if edge.dst != name:
-                    continue
-                upstream = objects.get(edge.src)
-                if upstream is not None and upstream.location is not None:
-                    pulls.append((upstream.location, edge.bytes_transferred))
-            for (task_name, data_name), weight in dag.affinities.items():
-                if task_name != name:
-                    continue
-                data_obj = objects.get(data_name)
-                if data_obj is not None and data_obj.location is not None:
-                    pulls.append((data_obj.location, weight))
+        for src_name, size in view.pulls.get(name, ()):
+            upstream = objects.get(src_name)
+            if upstream is not None and upstream.location is not None:
+                pulls.append((upstream.location, size))
         if not pulls:
             return None
 
@@ -436,50 +379,18 @@ class UdcScheduler:
 
         return min(candidate_racks, key=cost)
 
-    def _resolve_env_kind(
-        self, obj: UDCObject, device_type: DeviceType
-    ) -> Tuple[EnvKind, bool]:
-        execenv = obj.aspects.execenv
-        if execenv is None:
-            level, single = IsolationLevel.WEAK, False
-        elif execenv.env_kind is not None:
-            from repro.execenv.environments import ENV_PROFILES
-
-            profile = ENV_PROFILES[execenv.env_kind]
-            if device_type not in profile.requires_device:
-                raise SchedulerError(
-                    f"{obj.name}: environment "
-                    f"{execenv.env_kind.value!r} cannot host on "
-                    f"{device_type.value} (today's TEEs are CPU-only — the "
-                    f"paper's §3.3 gap); pick a CPU device or an isolation "
-                    f"tier and let the provider choose the mechanism"
-                )
-            return execenv.env_kind, execenv.single_tenant
-        else:
-            level = execenv.isolation or IsolationLevel.WEAK
-            single = execenv.single_tenant or level == IsolationLevel.STRONGEST
-        profiles = environments_for_level(level, device_type)
-        if not profiles:
-            raise SchedulerError(
-                f"{obj.name}: no environment provides isolation "
-                f"{level.value} on {device_type.value}"
-            )
-        # Provider's pick: the fastest-starting mechanism that satisfies
-        # the tier (providers optimize their own churn).
-        chosen = min(profiles, key=lambda p: p.cold_start_s)
-        return chosen.kind, single
-
     def _build_unit(
         self,
         obj: UDCObject,
         device_type: DeviceType,
         amount: float,
         preferred: Optional[Location],
+        envs: Dict[DeviceType, EnvChoice],
         device: Optional[Device] = None,
         parent: Optional[Span] = None,
     ) -> Tuple[ResourceUnit, float]:
         aspect = obj.aspects.resource or ResourceAspect()
-        env_kind, single_tenant = self._resolve_env_kind(obj, device_type)
+        env_kind, single_tenant = self.resolve_env(envs, device_type)
         alloc_span = self._span_start(
             self._now(), obj.name, "allocate", "allocate", parent=parent,
             device_type=device_type.value, amount=amount,
@@ -576,25 +487,25 @@ class UdcScheduler:
         return unit, rate
 
     def _place_single(
-        self, obj: UDCObject, objects: Dict[str, UDCObject], dag: ModuleDAG
+        self, obj: UDCObject, objects: Dict[str, UDCObject], view: AppView,
+        plan: CellPlan,
     ) -> TaskPlacement:
-        task = obj.module
-        assert isinstance(task, TaskModule)
         aspect = obj.aspects.resource or ResourceAspect()
         t_wall = time.perf_counter() if self._track_placement() else 0.0
         schedule_span = self._span_start(
             self._now(), obj.name, "schedule", "schedule",
         )
         try:
-            device_type = self._choose_device_type(task, aspect)
+            device_type = self.choose_device_type(plan.devices[obj.name])
             spec = self.datacenter.spec.spec_for(device_type)
             amount = (aspect.amount if aspect.amount is not None
                       else spec.min_grain)
             preferred = self._preferred_location(
-                obj.name, objects, dag, device_type
+                obj.name, objects, view, device_type
             )
             unit, rate = self._build_unit(
-                obj, device_type, amount, preferred, parent=schedule_span
+                obj, device_type, amount, preferred, plan.envs[obj.name],
+                parent=schedule_span,
             )
             self._place_standbys(obj, device_type, amount, unit)
         except SchedulerError:
@@ -662,33 +573,12 @@ class UdcScheduler:
         self,
         members: List[UDCObject],
         objects: Dict[str, UDCObject],
-        dag: ModuleDAG,
+        view: AppView,
+        plan: CellPlan,
+        choice: DeviceChoice,
     ) -> Dict[str, TaskPlacement]:
         """Co-location: all members on one physical device (hard)."""
-        shared = frozenset.intersection(
-            *(m.module.device_candidates for m in members)
-        )
-        # Respect any member's explicit device pin inside the shared set.
-        pinned = {
-            m.aspects.resource.device
-            for m in members
-            if m.aspects.resource and m.aspects.resource.device
-        }
-        pinned.discard(None)
-        if pinned:
-            if len(pinned) > 1 or not pinned <= shared:
-                raise SchedulerError(
-                    f"colocate group {[m.name for m in members]}: conflicting "
-                    f"device pins {sorted(d.value for d in pinned)}"
-                )
-            device_type = next(iter(pinned))
-        else:
-            goal_aspect = members[0].aspects.resource or ResourceAspect()
-            probe = TaskModule(
-                name="__group__", work=1.0, device_candidates=shared
-            )
-            device_type = self._choose_device_type(probe, goal_aspect)
-
+        device_type = self.choose_device_type(choice)
         spec = self.datacenter.spec.spec_for(device_type)
         amounts = [
             (m.aspects.resource.amount
@@ -702,7 +592,7 @@ class UdcScheduler:
         )
         pool = self.datacenter.pool(device_type)
         preferred = self._preferred_location(
-            members[0].name, objects, dag, device_type
+            members[0].name, objects, view, device_type
         )
         # min() over the eligible devices equals first-of-sorted (the key
         # ends in the unique seq) without sorting the whole pool.
@@ -734,8 +624,8 @@ class UdcScheduler:
             )
             try:
                 unit, rate = self._build_unit(
-                    member, device_type, amount, preferred=None, device=host,
-                    parent=schedule_span,
+                    member, device_type, amount, None, plan.envs[member.name],
+                    device=host, parent=schedule_span,
                 )
             except SchedulerError:
                 self.telemetry.span_end(schedule_span, self._now(),

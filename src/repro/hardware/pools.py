@@ -121,9 +121,13 @@ class ResourcePool:
         #: None for unsharded pools — label sets stay byte-identical to
         #: the pre-cells output in that case.
         self.cell: Optional[str] = None
-        #: ``(registry, cell, gauges)`` of the last collect_metrics: the
-        #: gauge handles, kept so a snapshot does no label lookups
-        self._gauges: Optional[Tuple[object, Optional[str], tuple]] = None
+        #: bumped by every change to the capacity aggregates: allocate,
+        #: release, resize, device membership and failure flips
+        self.changes = 0
+        #: ``[registry, cell, gauges, changes, clock]`` as of the last
+        #: collect_metrics: the gauge handles (so a snapshot does no label
+        #: lookups) and what they reflect (so it re-sets only stale ones)
+        self._gauges: Optional[list] = None
 
         self.indexed = indexed
         # Live-capacity accounting (devices that are not failed), kept
@@ -151,6 +155,7 @@ class ResourcePool:
                 f"pool is {self.device_type}"
             )
         self.devices.append(device)
+        self.changes += 1
         device._register_pool(self)
         self._by_seq[device.seq] = device
         insort(self._devices_by_seq, device, key=lambda d: d.seq)
@@ -182,6 +187,7 @@ class ResourcePool:
         moved = sorted(self.devices, key=lambda d: d.seq)
         for device in moved:
             device._pools.remove(self)
+        self.changes += 1
         self.devices = []
         self._live_capacity = 0.0
         self._live_used = 0.0
@@ -323,6 +329,7 @@ class ResourcePool:
         """
         if device.seq not in self._by_seq:
             return
+        self.changes += 1
         if device.failed:
             self._live_capacity -= device.spec.capacity
             self._live_used -= device.used
@@ -465,6 +472,7 @@ class ResourcePool:
                 )
 
         self._sample()
+        self.changes += 1
         alloc = Allocation(
             alloc_id=f"{tenant}/{self.device_type.value}-{next(_alloc_ids)}",
             device=chosen,
@@ -489,6 +497,7 @@ class ResourcePool:
         if alloc.released:
             return
         self._sample()
+        self.changes += 1
         alloc.released = True
         device = alloc.device
         delta = device._remove_alloc(alloc.alloc_id, alloc.tenant)
@@ -517,6 +526,7 @@ class ResourcePool:
                 f"{alloc.device.free:g}"
             )
         self._sample()
+        self.changes += 1
         alloc.amount = new_amount
         used_delta = alloc.device._resize_alloc(alloc.alloc_id, new_amount)
         self._account(alloc.device, used_delta)
@@ -550,24 +560,35 @@ class ResourcePool:
         time — never on the allocate/release hot path — so the indexed
         placement fast path pays nothing for metrics.  All values come
         from the incrementally-maintained aggregates.
+
+        Only stale gauges are re-set: capacity, used, peak and
+        utilization when :attr:`changes` moved since the last collection
+        into this registry, the time-weighted mean also when the clock
+        did.
         """
         cached = self._gauges
+        now = self._clock()
         if (cached is None or cached[0] is not registry
                 or cached[1] != self.cell):
             labels = {"device_type": self.device_type.value}
             if self.cell is not None:
                 labels["cell"] = self.cell
-            cached = self._gauges = (registry, self.cell, tuple(
+            cached = self._gauges = [registry, self.cell, tuple(
                 registry.gauge(name, labels) for name in (
                     "udc_pool_capacity_units", "udc_pool_used_units",
                     "udc_pool_peak_used_units", "udc_pool_utilization",
-                    "udc_pool_mean_utilization")))
+                    "udc_pool_mean_utilization")), None, None]
         capacity, used, peak, utilization, mean = cached[2]
-        capacity.set(self.total_capacity)
-        used.set(self.total_used)
-        peak.set(self.peak_used)
-        utilization.set(self.utilization())
+        if cached[3] != self.changes:
+            capacity.set(self.total_capacity)
+            used.set(self.total_used)
+            peak.set(self.peak_used)
+            utilization.set(self.utilization())
+        elif cached[4] == now:
+            return
         mean.set(self.mean_utilization())
+        cached[3] = self.changes
+        cached[4] = now
 
     def _spec(self) -> Optional[DeviceSpec]:
         return self.devices[0].spec if self.devices else None

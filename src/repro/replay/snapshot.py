@@ -54,10 +54,13 @@ __all__ = [
 #: the admission memo lost its per-round identity table; 4: metric
 #: families track their stale instruments, instruments their position,
 #: failure domains hold live processes in an ordered dict, and the
-#: bundle manager no longer lists every unit it built), so a
+#: bundle manager no longer lists every unit it built; 5: submissions
+#: carry their compiled AppTemplate instead of definition and key, the
+#: admission memo holds templates and views, key parts are text, and
+#: runtimes index their open and store-holding submissions), so a
 #: snapshot written by another build is skipped on resume instead of
 #: restored into objects it does not fit.
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 _FORMAT = "udc-snapshot"
 
 

@@ -11,28 +11,48 @@ tenant-scope decision.  Every front-door structure keys off those parts:
   Tenant-confidential apps key by tenant (:func:`requires_tenant_scope`).
 * the lint memo — a :class:`ResultCache` of analysis reports keyed by
   shape, identity, definition and the tenant's tier.
-* :class:`AdmissionMemo` — admission templates (validation, parsing,
-  conflict resolution, provider defaults) keyed by shape, definition and
+* :class:`AdmissionMemo` — compiled app templates
+  (:class:`~repro.core.template.AppTemplate`: admission result, DAG
+  view, device plans, router demand) keyed by shape, definition and
   conflict policy only, so tenants submitting the same app shape share
-  one.  Placement still runs per submission against live pool state.
+  one; and the DAG views themselves keyed by shape, which the lint pass
+  shares.  Placement still runs per submission against live pool state.
 
 The service reads app, definition and inputs once, at ``submit()``:
-callers must not mutate them until the handle finalizes.  Fingerprints
-are canonical nested tuples (hashable, order-normalized) — no
-serialization, no timestamps, fully deterministic in-process.
+callers must not mutate them until the handle finalizes.  Key parts are
+canonical text, so lookups hash each part once (strings cache their
+hash) and compare flat strings:
+
+* ``shape`` and ``identity`` are built directly from the DAG: modules in
+  name order, then edges, co-location groups and affinity hints in
+  *declaration* order — placement sums locality pulls in edge order and
+  places groups in list order, so equal keys mean identical placement
+  inputs;
+* ``definition`` and ``inputs`` are compact JSON with sorted keys (the
+  stdlib encoder).  Values JSON cannot express faithfully — sets, NaN,
+  non-string dict keys, enums and other subclassed values (an IntEnum
+  would encode as its number) — key as ``"\\x00" + repr(...)`` of an
+  order-normalized form, which no JSON text can equal.  JSON typing is
+  kept: ``1``, ``1.0`` and ``true`` are different values, and so are
+  the dict keys ``1`` and ``"1"``.  Tuples key like lists.
+
+No hashing of object identities, no timestamps: a key is the same in
+every process, whatever the hash seed.
 """
 
 from __future__ import annotations
 
+import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.appmodel.dag import ModuleDAG
 from repro.appmodel.module import TaskModule
-from repro.core.conflicts import ConflictPolicy, ConflictResolution
+from repro.core.conflicts import ConflictPolicy
 from repro.core.report import RunResult
 from repro.core.spec import UserDefinition
+from repro.core.template import AppTemplate, AppView
 
 __all__ = [
     "AdmissionMemo",
@@ -47,20 +67,43 @@ __all__ = [
 
 
 _LEAVES = (str, int, float, bool, type(None))
+#: exact types whose JSON text is faithful (subclasses such as IntEnum
+#: encode as their base value, so they take the fallback)
+_JSON_LEAVES = frozenset(_LEAVES)
+
+#: compact, key-sorted, NaN-refusing JSON text
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           allow_nan=False).encode
+
+
+def _plain(value: Any) -> bool:
+    """True when ``value``'s JSON text says exactly what it is: only
+    dicts with ``str`` keys (the encoder turns ``1``, ``True`` and
+    ``None`` keys into strings), lists, tuples and exact JSON leaves."""
+    kind = type(value)
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str or (type(item) not in _JSON_LEAVES
+                                        and not _plain(item)):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        for item in value:
+            if type(item) not in _JSON_LEAVES and not _plain(item):
+                return False
+        return True
+    return kind in _JSON_LEAVES
 
 
 def _canon(value: Any) -> Any:
-    """Canonical, hashable form of a JSON-ish value (dict order ignored)."""
+    """Order-normalized form of a value JSON cannot encode faithfully
+    (dict order and set iteration order ignored, dict keys typed)."""
     if isinstance(value, _LEAVES):
         return value
     if isinstance(value, dict):
-        if all(type(k) is str for k in value):
-            # Plain-str keys sort as their str(): skip the key function.
-            return ("d", *[(k, _canon(value[k])) for k in sorted(value)])
-        return ("d", *[
-            (str(k), _canon(v))
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        ])
+        return ("d", *sorted(
+            ((repr(_canon(k)), _canon(v)) for k, v in value.items()),
+            key=lambda kv: kv[0]))
     if isinstance(value, (list, tuple)):
         return ("l", *[_canon(v) for v in value])
     if isinstance(value, (set, frozenset)):
@@ -68,42 +111,57 @@ def _canon(value: Any) -> Any:
     return repr(value)
 
 
-def dag_fingerprint(dag: ModuleDAG) -> Tuple[Tuple, Tuple]:
-    """``(shape, identity)`` of an application DAG.
+def _text(value: Any) -> str:
+    """Canonical text of a JSON-ish value: compact sorted JSON, or
+    ``"\\x00" + repr(_canon(value))`` when JSON cannot express it
+    faithfully (no JSON text starts with a NUL)."""
+    if _plain(value):
+        try:
+            return _encode(value)
+        except ValueError:  # NaN or infinity
+            pass
+    return "\x00" + repr(_canon(value))
 
-    ``shape`` is everything admission can observe, without the app name
-    or any code hash; ``identity`` is ``(app name, task code hashes in
-    sorted module order)``, so different code never shares results.
+
+def dag_fingerprint(dag: ModuleDAG) -> Tuple[str, str]:
+    """``(shape, identity)`` of an application DAG, as text.
+
+    ``shape`` is everything admission and placement can observe, without
+    the app name or any code hash: one line per module in name order,
+    then the edges, co-location groups and affinity hints in declaration
+    order.  ``identity`` is the app name and the task code hashes in
+    module-name order, so different code never shares results.
     """
-    modules = []
+    lines = []
     code_hashes = []
-    for name in sorted(dag.modules):
-        module = dag.modules[name]
+    modules = dag.modules
+    for name in sorted(modules):
+        module = modules[name]
         if isinstance(module, TaskModule):
-            modules.append((
-                "task", name, module.work,
-                tuple(sorted(d.value for d in module.device_candidates)),
-                module.output_bytes, module.state_bytes,
-                module.max_parallelism, module.sanitizer,
-            ))
+            candidates = ",".join(
+                sorted([d.value for d in module.device_candidates]))
+            lines.append(
+                f"t{name!r} {module.work!r} {candidates} "
+                f"{module.output_bytes!r} {module.state_bytes!r} "
+                f"{module.max_parallelism!r} {module.sanitizer!r}"
+            )
             code_hashes.append(module.code_hash)
         else:
-            modules.append((
-                "data", name, module.size_gb, module.record_bytes,
-                module.hot, module.sensitivity,
-            ))
-    edges = tuple(sorted(
-        (e.src, e.dst, e.bytes_transferred) for e in dag.edges
-    ))
-    groups = tuple(sorted(
-        tuple(sorted(group)) for group in dag.colocate_groups
-    ))
-    affinities = tuple(sorted(
-        (task, data, weight)
+            lines.append(
+                f"d{name!r} {module.size_gb!r} {module.record_bytes!r} "
+                f"{module.hot!r} {module.sensitivity!r}"
+            )
+    lines.append("E" + ";".join([
+        f"{e.src!r}>{e.dst!r}:{e.bytes_transferred!r}" for e in dag.edges
+    ]))
+    lines.append("G" + ";".join([
+        ",".join(sorted(map(repr, group))) for group in dag.colocate_groups
+    ]))
+    lines.append("A" + ";".join([
+        f"{task!r}~{data!r}:{weight!r}"
         for (task, data), weight in dag.affinities.items()
-    ))
-    shape = (tuple(modules), edges, groups, affinities)
-    return shape, (dag.name, tuple(code_hashes))
+    ]))
+    return "\n".join(lines), repr([dag.name, *code_hashes])
 
 
 def _keyable(definition: Any) -> "UserDefinition | Dict | None":
@@ -119,23 +177,24 @@ def _keyable(definition: Any) -> "UserDefinition | Dict | None":
     )
 
 
-def definition_fingerprint(definition: Any) -> Tuple:
-    """Canonical key for a definition in any accepted form: dicts (and
+def definition_fingerprint(definition: Any) -> str:
+    """Canonical text of a definition in any accepted form: dicts (and
     builders, as their dict) without parsing — the admission memo exists
-    to skip ``parse_definition`` — and parsed ones by their repr."""
+    to skip ``parse_definition`` — and parsed ones by their bundles'
+    repr.  ``None`` keys apart from ``{}``."""
     definition = _keyable(definition)
     if definition is None:
-        return ("none",)
+        return "none"
     if isinstance(definition, dict):
-        return ("dict", _canon(definition))
-    return ("parsed", tuple(
-        (name, repr(bundle))
+        return _text(definition)
+    return "parsed" + _encode([
+        [name, repr(bundle)]
         for name, bundle in sorted(definition.bundles.items())
-    ))
+    ])
 
 
-def inputs_fingerprint(inputs: Optional[Dict[str, Any]]) -> Tuple:
-    return _canon(inputs or {})
+def inputs_fingerprint(inputs: Optional[Dict[str, Any]]) -> str:
+    return _text(inputs) if inputs else "{}"
 
 
 def _requests_encryption(definition: Any) -> bool:
@@ -180,14 +239,14 @@ class SubmissionKey(NamedTuple):
     """
 
     #: admission-visible DAG structure, without app name or code hashes
-    shape: Tuple
-    #: ``(app name, task code hashes in sorted module order)``
-    identity: Tuple
-    definition: Tuple
-    inputs: Any
+    shape: str
+    #: app name and task code hashes in sorted module order
+    identity: str
+    definition: str
+    inputs: str
     #: ``("tenant", name)`` if :func:`requires_tenant_scope`, else
     #: ``("shared",)``
-    scope: Tuple
+    scope: Tuple[str, ...]
 
     @classmethod
     def of(cls, tenant: str, dag: ModuleDAG, definition: Any,
@@ -270,21 +329,31 @@ class ResultCache(_Lru):
 
 
 class AdmissionMemo(_Lru):
-    """Bounded LRU of admission templates, consumed by
-    :meth:`~repro.core.runtime.UDCRuntime.admit` (``runtime.admission_memo``)
-    for submissions that carry a :class:`SubmissionKey`.
+    """Bounded LRU of compiled :class:`~repro.core.template.AppTemplate`\\ s,
+    consumed by :meth:`~repro.core.runtime.UDCRuntime.compile`
+    (``runtime.admission_memo``) for submissions that carry a
+    :class:`SubmissionKey`.
 
-    A template holds one app shape's :class:`ConflictResolution` and the
-    default-filled (frozen, shareable) per-module aspect bundles; hitting
-    it skips DAG validation, definition parsing, and conflict resolution.
+    Hitting it skips DAG validation, definition parsing, conflict
+    resolution, graph building and device planning.  :attr:`views` holds
+    the DAG views by shape (same capacity), so the lint pass and every
+    template of one shape share a single task graph.
     """
 
     def __init__(self, capacity: int = 256):
         super().__init__(capacity)
+        self.views = _Lru(capacity)
 
-    def lookup(self, key: Tuple) -> Optional[Tuple[ConflictResolution, Dict]]:
+    def lookup(self, key: Tuple) -> Optional[AppTemplate]:
         return self._get(key)
 
-    def store(self, key: Tuple, resolution: ConflictResolution,
-              bundles: Dict) -> None:
-        self._put(key, (resolution, bundles))
+    def store(self, key: Tuple, template: AppTemplate) -> None:
+        self._put(key, template)
+
+    def view(self, shape: str, dag: ModuleDAG) -> AppView:
+        """The view of ``dag`` (whose shape text is ``shape``)."""
+        view = self.views._get(shape)
+        if view is None:
+            view = AppView(dag)
+            self.views._put(shape, view)
+        return view

@@ -15,9 +15,10 @@ adds the four things a single-shot runtime lacks:
   :class:`~repro.core.admission.WeightedFairShare` over tenant weights,
   and orders its own dispatch rounds with the same policy.
 * **Batched placement** — in batched mode (default) submissions buffer
-  into scheduling rounds: each round reuses admission templates
-  (:class:`~repro.service.cache.AdmissionMemo`) for structurally
-  identical apps and runs under the scheduler's
+  into scheduling rounds: each round reuses compiled app templates
+  (:class:`~repro.core.template.AppTemplate`, memoized in one
+  :class:`~repro.service.cache.AdmissionMemo` shared by every cell) for
+  equal app shapes and definitions and runs under the scheduler's
   :meth:`~repro.core.scheduler.UdcScheduler.batch_round`, amortizing
   control-plane work while keeping placements byte-identical to serial
   submission in the same order.
@@ -52,6 +53,7 @@ from repro.core.cells import CellRouter, estimate_demand, partition_datacenter
 from repro.core.report import RunResult
 from repro.core.runtime import Submission, UDCRuntime
 from repro.core.scheduler import SchedulerError
+from repro.core.template import AppTemplate
 from repro.economics.autopilot import (
     FIRM_PLAN,
     AdaptiveBudgetHook,
@@ -72,31 +74,6 @@ from repro.service.tenants import (
 )
 
 __all__ = ["ResultNotReady", "SubmissionHandle", "UDCService"]
-
-
-def _declares_persistent(definition: Any) -> bool:
-    """True when any module of the definition asks for a standing
-    deployment, in whichever form the caller handed it in (parsed,
-    fluent builder, or raw nested dict)."""
-    if definition is None:
-        return False
-    bundles = getattr(definition, "bundles", None)
-    if isinstance(bundles, dict):
-        return any(
-            b.distributed is not None and b.distributed.persistent
-            for b in bundles.values()
-        )
-    to_dict = getattr(definition, "to_dict", None)
-    raw = to_dict() if callable(to_dict) else definition
-    if not isinstance(raw, dict):
-        return False
-    for aspects in raw.values():
-        if not isinstance(aspects, dict):
-            continue
-        dist = aspects.get("distributed")
-        if isinstance(dist, dict) and dist.get("persistent"):
-            return True
-    return False
 
 
 class ResultNotReady(Exception):
@@ -181,13 +158,13 @@ class UDCService:
     one scheduler, one set of pool indexes, placements byte-identical to
     PR 4.  ``cells=N`` partitions the datacenter into N rack-group cells
     (:func:`repro.core.cells.partition_datacenter`), each with its own
-    :class:`UDCRuntime` — scheduler, pool indexes, batch cache, and
-    admission memo — fronted by a :class:`~repro.core.cells.CellRouter`
+    :class:`UDCRuntime` — scheduler, pool indexes and batch cache —
+    fronted by a :class:`~repro.core.cells.CellRouter`
     that picks a cell per submission from coarse free-capacity
     aggregates and spills deterministically to the next cell on
     rejection.  Cell runtimes share one simulator, fabric, telemetry,
-    RNG registry, warm pool, and breaker registry, so replay fingerprints
-    and fault injection stay global.
+    RNG registry, warm pool, breaker registry and template memo, so
+    replay fingerprints and fault injection stay global.
 
     Sharding semantics worth knowing:
 
@@ -245,12 +222,12 @@ class UDCService:
         self.telemetry = self.runtime.telemetry
         self.policy = policy if policy is not None else WeightedFairShare()
         self.batched = batched
+        # One template memo for every cell: a template's cell-dependent
+        # part is keyed by the cell's pool set (AppTemplate.cell_plan).
+        memo = AdmissionMemo(admission_memo_capacity) if batched else None
         for cell_runtime in runtimes:
             cell_runtime.admission_policy = self.policy
-            if batched:
-                cell_runtime.admission_memo = AdmissionMemo(
-                    admission_memo_capacity
-                )
+            cell_runtime.admission_memo = memo
         self.router: Optional[CellRouter] = None
         if len(runtimes) > 1:
             self.router = CellRouter(
@@ -515,7 +492,7 @@ class UDCService:
         tenant can reproduce the report offline.
         """
         # Imported here: repro.analysis imports service types at load.
-        from repro.analysis import AnalysisError, analyze_definition
+        from repro.analysis import AnalysisError, _analyze
 
         labels = {"tenant": tenant}
         self.telemetry.inc("udc_lint_checks_total", labels=labels)
@@ -528,10 +505,14 @@ class UDCService:
         memo_key = key.lint(tier)
         report = self._lint_memo.get(memo_key)
         if report is None:
-            report = analyze_definition(
+            # The analyzer reads the same task graph the app's templates
+            # place from: one graph per app shape, not one per lint.
+            templates = self.runtime.admission_memo
+            report = _analyze(
                 definition if definition is not None else {},
-                app=app, datacenter=self.runtime.datacenter,
-                tenant_tier=tier,
+                app, self.runtime.datacenter, tenant_tier=tier,
+                task_graph=(templates.view(key.shape, app).graph
+                            if templates is not None else None),
             )
             self._lint_memo.put(memo_key, report)
         for diag in report:
@@ -547,14 +528,18 @@ class UDCService:
 
     def _dispatch(self, work: "_PendingWork") -> None:
         handle = work.handle
+        # Compiled once per dispatch (from the shared memo when batched):
+        # spills, admission retries and preemption redeploys reuse it.
+        template = self.runtime.compile(work.app, work.definition, work.key)
         if self.router is None:
             # Unsharded: exactly the historical single-runtime path (one
             # submit attempt, queue on capacity failure) so placements,
             # seq streams, and telemetry stay byte-identical.
             handle.cell = 0
-            submission = work.submit_to(self.runtime, queue_if_full=True)
+            submission = work.submit_to(self.runtime, template,
+                                        queue_if_full=True)
         else:
-            submission = self._dispatch_routed(work)
+            submission = self._dispatch_routed(work, template)
         handle.submission = submission
         labels = {"tenant": handle.tenant}
         if submission.status == "queued":
@@ -603,7 +588,8 @@ class UDCService:
             if submission.status != "queued":
                 return
 
-    def _dispatch_routed(self, work: "_PendingWork") -> Submission:
+    def _dispatch_routed(self, work: "_PendingWork",
+                         template: AppTemplate) -> Submission:
         """Sharded dispatch: route by coarse demand, spill on rejection.
 
         Cells are tried in router order with ``queue_if_full=False``; a
@@ -614,12 +600,17 @@ class UDCService:
         retries it.
         """
         handle = work.handle
-        demand = estimate_demand(work.app, self.runtime.datacenter)
+        demand = template.demand
+        if demand is None:
+            # Once per template: everything the estimate reads is in the
+            # shape the template was compiled for.
+            demand = template.demand = estimate_demand(
+                work.app, self.runtime.datacenter)
         order = self.router.order(demand)
         for hops, cell_id in enumerate(order):
             try:
                 submission = work.submit_to(self.cell_runtimes[cell_id],
-                                            queue_if_full=False)
+                                            template, queue_if_full=False)
             except SchedulerError:
                 continue
             handle.cell = cell_id
@@ -627,7 +618,7 @@ class UDCService:
             return submission
         handle.cell = order[0]
         self.router.record_placement(order[0], len(order))
-        return work.submit_to(self.cell_runtimes[order[0]],
+        return work.submit_to(self.cell_runtimes[order[0]], template,
                               queue_if_full=True)
 
     def dispatch_round(self) -> int:
@@ -973,11 +964,10 @@ class _PendingWork:
     key: SubmissionKey
     options: SubmitOptions = field(default_factory=SubmitOptions)
 
-    def submit_to(self, runtime: UDCRuntime,
+    def submit_to(self, runtime: UDCRuntime, template: AppTemplate,
                   queue_if_full: bool) -> Submission:
         return runtime.submit(
-            self.app, self.definition, tenant=self.handle.tenant,
-            inputs=self.inputs,
-            persistent=_declares_persistent(self.definition),
-            queue_if_full=queue_if_full, key=self.key,
+            self.app, tenant=self.handle.tenant, inputs=self.inputs,
+            persistent=template.persistent, queue_if_full=queue_if_full,
+            template=template,
         )

@@ -274,3 +274,55 @@ def test_report_table_renders():
     result = runtime.run(two_stage_app())
     table = result.format_table()
     assert "first" in table and "makespan" in table
+
+
+def test_drain_and_healing_walk_only_open_submissions():
+    """drain visits uncollected submissions and store healing visits
+    submissions that still hold stores: neither walks the history."""
+    dc = small_dc()
+    runtime = UDCRuntime(dc)
+    app = AppBuilder("stateful")
+
+    @app.task(name="t", work=1.0)
+    def t(ctx):
+        return 1
+
+    app.data("s", size_gb=1.0)
+    app.reads("t", "s")
+    dag = app.build()
+    standing = runtime.submit(dag, {"s": {"distributed": {
+        "persistent": True}}}, persistent=True)
+    for _ in range(3):
+        runtime.submit(dag, None)
+    assert len(runtime._open) == len(runtime._holding) == 4
+    runtime.drain()
+    assert runtime._open == {}
+    assert list(runtime._holding.values()) == [standing]
+    late = runtime.submit(dag, None)
+    assert list(runtime._open.values()) == [late]
+    runtime.drain()
+    assert list(runtime._holding.values()) == [standing]
+    runtime.decommission(standing)
+    assert runtime._holding == {}
+    assert len(runtime._submissions) == 5
+
+
+def test_crash_after_collection_does_not_rebuild_a_released_store():
+    """A collected submission's store has released its replicas; a later
+    crash of a replica's domain must not allocate replacements for it
+    (they were owned by nothing and held for ever)."""
+    dc = small_dc()
+    runtime = UDCRuntime(dc)
+    app = AppBuilder("finished")
+
+    @app.task(name="t", work=1.0)
+    def t(ctx):
+        return 1
+
+    app.data("d", size_gb=4.0)
+    app.reads("t", "d")
+    runtime.submit(app.build(), {"d": {"distributed": {"replication": 2}}})
+    runtime.drain()
+    runtime.injector.fail_at(runtime.sim.now + 1.0, "fd:d:r0")
+    runtime.sim.run()
+    assert all(pool.total_used == 0 for pool in dc.pools)

@@ -188,3 +188,57 @@ def test_device_class_taxonomy():
     assert DeviceType.SWITCH.device_class.value == "network"
     assert DeviceType.CPU.unit == "cores"
     assert DeviceType.NVM.unit == "GB"
+
+
+# ------------------------------------------------- collector gauges
+
+
+def _fresh(pool):
+    return (pool.total_capacity, pool.total_used, pool.peak_used,
+            pool.utilization(), pool.mean_utilization())
+
+
+def test_collect_metrics_resets_only_stale_gauges(monkeypatch):
+    """A snapshot re-sets capacity/used/peak/utilization only after the
+    pool changed, and the time-weighted mean only when the pool or the
+    clock moved; the gauges always read what a full refresh would."""
+    from repro.core.observability import Gauge, MetricsRegistry
+
+    sets = []
+    original = Gauge.set
+    monkeypatch.setattr(Gauge, "set",
+                        lambda self, value: (sets.append(value),
+                                             original(self, value)))
+    now = [0.0]
+    pool = make_pool(clock=lambda: now[0])
+    registry = MetricsRegistry()
+
+    def collect():
+        del sets[:]
+        pool.collect_metrics(registry)
+        names = ("udc_pool_capacity_units", "udc_pool_used_units",
+                 "udc_pool_peak_used_units", "udc_pool_utilization",
+                 "udc_pool_mean_utilization")
+        values = tuple(registry.gauge(name, {"device_type": "cpu"}).value
+                       for name in names)
+        assert values == _fresh(pool)
+        return len(sets)
+
+    assert collect() == 5
+    assert collect() == 0              # nothing changed
+    now[0] = 10.0
+    assert collect() == 1              # only the clock moved
+    alloc = pool.allocate(4.0, "t")
+    assert collect() == 5
+    now[0] = 20.0
+    pool.resize(alloc, 8.0)
+    assert collect() == 5
+    pool.release(alloc)
+    assert collect() == 5
+    pool.devices[0].failed = True      # a failure flip changes capacity
+    assert collect() == 5
+    assert collect() == 0
+    other = MetricsRegistry()          # another registry starts full
+    del sets[:]
+    pool.collect_metrics(other)
+    assert len(sets) == 5
