@@ -24,14 +24,13 @@ prior placements):
   score reads only the cells' incrementally-maintained pool aggregates
   (PR 2's accounting), so the same command sequence routes identically
   on every run — placements stay replayable under ``repro.replay``.
-* Spill is a deterministic walk of that order; the submission parks on
-  the first-choice cell's admission queue only after every cell
-  rejected.
+* Spill is a deterministic walk of that order, each cell tried once;
+  only after every cell rejected does the first-choice cell's
+  rolled-back attempt park on that cell's admission queue.
 
-The single-cell configuration bypasses nothing and adds nothing: with
-``cells=1`` the service talks to one runtime exactly as before, and the
-golden traces in ``tests/test_placement_equivalence.py`` pin the
-byte-identity.
+A service with one cell routes through a one-cell router (always
+``[0]``) and places exactly as the unsharded scheduler; the golden
+traces in ``tests/test_placement_equivalence.py`` pin that.
 """
 
 from __future__ import annotations

@@ -456,13 +456,11 @@ class UDCRuntime:
         :meth:`decommission`.
 
         ``queue_if_full``: when placement fails for lack of free capacity,
-        park the submission in the admission queue and retry as running
-        work releases resources (overload behavior, E21) instead of
-        raising.  Retry order follows :attr:`admission_policy` (FIFO by
-        default).  Submissions that never fit surface as
-        ``status == "unplaceable"`` at drain.  ``template``: the app as
-        :meth:`compile` already compiled it (then ``definition`` is not
-        read); without one, it is compiled here.
+        :meth:`park` the submission instead of raising.  Without it the
+        :class:`SchedulerError` carries the rolled-back submission as
+        ``exc.submission``.  ``template``: the app as :meth:`compile`
+        already compiled it (then ``definition`` is not read); without
+        one, it is compiled here.
         """
         seq = next(self._seq_counter)
         if template is None:
@@ -479,17 +477,35 @@ class UDCRuntime:
         except SchedulerError as exc:
             self._rollback(submission)
             if not queue_if_full:
+                exc.submission = submission
                 raise
-            submission.status = "queued"
-            submission.queued_at = self.sim.now
-            self._admission_queue.append(submission)
-            self.telemetry.event(
-                self.sim.now, app.name, "admission-queued", str(exc)
-            )
-        self._submissions.append(submission)
-        self._open[seq] = submission
-        self._holding[seq] = submission
+            return self.park(submission, str(exc))
+        self._track_submission(submission)
         return submission
+
+    def park(self, submission: Submission, reason: str) -> Submission:
+        """Queue a rolled-back submission for admission retries.
+
+        The submission waits in the admission queue and retries as
+        running work releases resources (overload behavior, E21), in
+        :attr:`admission_policy` order (FIFO by default).  Submissions
+        that never fit surface as ``status == "unplaceable"`` at drain.
+        No placement is attempted here: ``submission`` already failed
+        one (``reason`` is why).
+        """
+        submission.status = "queued"
+        submission.queued_at = self.sim.now
+        self._admission_queue.append(submission)
+        self.telemetry.event(
+            self.sim.now, submission.dag.name, "admission-queued", reason
+        )
+        self._track_submission(submission)
+        return submission
+
+    def _track_submission(self, submission: Submission) -> None:
+        self._submissions.append(submission)
+        self._open[submission.seq] = submission
+        self._holding[submission.seq] = submission
 
     def _rollback(self, submission: Submission) -> None:
         """Undo a partially-deployed submission (placement failed)."""

@@ -61,6 +61,9 @@ COLD_MEDIA_ORDER = [DeviceType.HDD, DeviceType.SSD, DeviceType.NVM, DeviceType.D
 class SchedulerError(Exception):
     """Raised when a module cannot be placed as specified."""
 
+    #: the rolled-back submission, when raised out of ``UDCRuntime.submit``
+    submission = None
+
 
 @dataclass
 class TaskPlacement:

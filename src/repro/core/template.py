@@ -13,7 +13,7 @@ computes every pure function of them once:
   merged co-location groups in declaration order, and each task's
   locality pulls in the order placement sums them;
 * whether the app declares a standing (persistent) deployment, and the
-  router's coarse demand estimate (on the first routed dispatch);
+  router's coarse demand estimate (on the first service dispatch);
 * per datacenter pool set (:class:`CellPlan`): each task's candidate
   device types in goal order with the shard each must fit, and the
   environment kind each type gets.
@@ -236,7 +236,7 @@ class AppTemplate:
         #: the definition asks for a standing deployment
         self.persistent = persistent
         #: the router's coarse demand (repro.core.cells.estimate_demand),
-        #: filled by the first routed dispatch
+        #: filled by the first service dispatch
         self.demand: Optional[Dict[DeviceType, float]] = None
         #: pool-set key -> CellPlan, filled on first placement there
         self._cells: Dict[Tuple[DeviceType, ...], CellPlan] = {}

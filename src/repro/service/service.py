@@ -105,8 +105,7 @@ class SubmissionHandle:
     #: service-wide monotonic id: the deterministic dispatch tie-break
     seq: int
     cached: bool = False
-    #: placement cell the submission was routed to (None until
-    #: dispatched; always 0 on an unsharded service)
+    #: placement cell the router chose (None until dispatched)
     cell: Optional[int] = None
     submission: Optional[Submission] = None
     result: Optional[RunResult] = None
@@ -154,17 +153,17 @@ class SubmissionHandle:
 class UDCService:
     """Multi-tenant serving layer over one or more placement cells.
 
-    ``cells=1`` (the default) is the historical single-runtime service —
-    one scheduler, one set of pool indexes, placements byte-identical to
-    PR 4.  ``cells=N`` partitions the datacenter into N rack-group cells
-    (:func:`repro.core.cells.partition_datacenter`), each with its own
-    :class:`UDCRuntime` — scheduler, pool indexes and batch cache —
-    fronted by a :class:`~repro.core.cells.CellRouter`
-    that picks a cell per submission from coarse free-capacity
-    aggregates and spills deterministically to the next cell on
-    rejection.  Cell runtimes share one simulator, fabric, telemetry,
-    RNG registry, warm pool, breaker registry and template memo, so
-    replay fingerprints and fault injection stay global.
+    Every cell has its own :class:`UDCRuntime` — scheduler, pool
+    indexes and batch cache — and every submission goes through one
+    :class:`~repro.core.cells.CellRouter`, which orders the cells from
+    coarse free-capacity aggregates; the submission is tried on each
+    cell once, in that order (a spill when the first choice rejects).
+    ``cells=1`` (the default) keeps the whole datacenter as its one
+    cell; ``cells=N`` partitions it into N rack-group cells
+    (:func:`repro.core.cells.partition_datacenter`).  Cell runtimes
+    share one simulator, fabric, telemetry, RNG registry, warm pool,
+    breaker registry and template memo, so replay fingerprints and
+    fault injection stay global.
 
     Sharding semantics worth knowing:
 
@@ -175,15 +174,15 @@ class UDCService:
     * Fair share stays global: dispatch rounds are ordered by the
       service-wide policy *before* fanning out, and every cell runtime
       shares the one policy instance.
-    * If every cell rejects, the submission parks on the first-choice
-      cell's admission queue and retries there as capacity frees.
+    * If every cell rejects, the first-choice cell's rolled-back
+      attempt parks on that cell's admission queue (no second
+      placement) and retries there as capacity frees.
     """
 
     def __init__(
         self,
-        datacenter: Optional[Datacenter] = None,
+        datacenter: Datacenter,
         *,
-        runtime: Optional[UDCRuntime] = None,
         policy: Optional[AdmissionPolicy] = None,
         batched: bool = True,
         cells: int = 1,
@@ -195,27 +194,8 @@ class UDCService:
     ):
         if cells < 1:
             raise ValueError(f"cells must be >= 1, got {cells}")
-        if runtime is not None:
-            if runtime_kwargs:
-                raise ValueError(
-                    f"runtime kwargs {sorted(runtime_kwargs)} conflict with "
-                    f"an explicit runtime instance"
-                )
-            if cells != 1:
-                raise ValueError(
-                    "an explicit runtime instance is single-cell; pass the "
-                    "datacenter instead to shard it"
-                )
-            runtimes = [runtime]
-        else:
-            if datacenter is None:
-                raise ValueError("UDCService needs a datacenter or a runtime")
-            if cells == 1:
-                runtimes = [UDCRuntime(datacenter, **runtime_kwargs)]
-            else:
-                runtimes = self._build_cell_runtimes(
-                    datacenter, cells, runtime_kwargs
-                )
+        runtimes = self._build_cell_runtimes(datacenter, cells,
+                                             runtime_kwargs)
         self.cell_runtimes: List[UDCRuntime] = runtimes
         self.runtime = runtimes[0]
         self.lint = lint
@@ -228,11 +208,12 @@ class UDCService:
         for cell_runtime in runtimes:
             cell_runtime.admission_policy = self.policy
             cell_runtime.admission_memo = memo
-        self.router: Optional[CellRouter] = None
-        if len(runtimes) > 1:
-            self.router = CellRouter(
-                [rt.datacenter for rt in runtimes], telemetry=self.telemetry
-            )
+        # Router metrics only when sharded: an unsharded service keeps
+        # its label sets and metric families.
+        self.router = CellRouter(
+            [rt.datacenter for rt in runtimes],
+            telemetry=self.telemetry if cells > 1 else None,
+        )
         self.cache = ResultCache(result_cache_capacity)
         self.ledger = TenantLedger()
         self.tenants: Dict[str, Tenant] = {}
@@ -279,39 +260,26 @@ class UDCService:
     def _build_cell_runtimes(
         datacenter: Datacenter, cells: int, runtime_kwargs: Dict[str, Any]
     ) -> List[UDCRuntime]:
-        """Partition ``datacenter`` and build one runtime per cell.
+        """Build one runtime per cell: the whole ``datacenter`` for one
+        cell, its rack-group partition otherwise.
 
-        Telemetry, RNG registry, warm pool, and breaker registry are
-        shared across cells (one control plane, N placement domains);
-        every other runtime kwarg passes through to each cell.
+        Cell 0's telemetry, RNG registry, warm pool, and breaker
+        registry are shared by every other cell (one control plane, N
+        placement domains); every other runtime kwarg passes through to
+        each cell.  Only sharded schedulers label their metrics by cell.
         """
-        from repro.core.telemetry import Telemetry
-        from repro.distsem.resilience import CircuitBreakerRegistry
-        from repro.execenv.warmpool import WarmPool
-        from repro.simulator.rng import RngRegistry
-
-        shared = dict(runtime_kwargs)
-        telemetry = shared.pop("telemetry", None)
-        if telemetry is None:
-            telemetry = Telemetry()
-        rng = shared.pop("rng", None)
-        if rng is None:
-            rng = RngRegistry(0)
-        warm_pool = shared.pop("warm_pool", None)
-        if warm_pool is None:
-            warm_pool = WarmPool(enabled=False)
-        breakers = shared.pop("breakers", None)
-        if breakers is None:
-            breakers = CircuitBreakerRegistry()
-        runtimes = [
-            UDCRuntime(
-                cell_dc, telemetry=telemetry, rng=rng, warm_pool=warm_pool,
-                breakers=breakers, **shared,
-            )
-            for cell_dc in partition_datacenter(datacenter, cells)
-        ]
-        for cell_id, cell_runtime in enumerate(runtimes):
-            cell_runtime.scheduler.cell_label = str(cell_id)
+        first, *rest = ([datacenter] if cells == 1
+                        else partition_datacenter(datacenter, cells))
+        runtimes = [UDCRuntime(first, **runtime_kwargs)]
+        shared = dict(
+            runtime_kwargs, telemetry=runtimes[0].telemetry,
+            rng=runtimes[0].rng, warm_pool=runtimes[0].warm_pool,
+            breakers=runtimes[0].breakers,
+        )
+        runtimes += [UDCRuntime(cell_dc, **shared) for cell_dc in rest]
+        if rest:
+            for cell_id, cell_runtime in enumerate(runtimes):
+                cell_runtime.scheduler.cell_label = str(cell_id)
         return runtimes
 
     # ------------------------------------------------------------- tenants
@@ -527,19 +495,43 @@ class UDCService:
             raise AnalysisError(report)
 
     def _dispatch(self, work: "_PendingWork") -> None:
+        """Route by coarse demand, try each cell once, park on rejection.
+
+        Cells are tried in router order; a cell that cannot place the
+        app raises, rolls its partial placement back, and the next cell
+        is tried (the spill).  When *every* cell rejected, the
+        first-choice cell's rolled-back attempt parks on that cell's
+        admission queue, where freed capacity retries it — it is not
+        placed a second time first.
+        """
         handle = work.handle
         # Compiled once per dispatch (from the shared memo when batched):
         # spills, admission retries and preemption redeploys reuse it.
         template = self.runtime.compile(work.app, work.definition, work.key)
-        if self.router is None:
-            # Unsharded: exactly the historical single-runtime path (one
-            # submit attempt, queue on capacity failure) so placements,
-            # seq streams, and telemetry stay byte-identical.
-            handle.cell = 0
-            submission = work.submit_to(self.runtime, template,
-                                        queue_if_full=True)
+        demand = template.demand
+        if demand is None:
+            # Once per template: everything the estimate reads is in the
+            # shape the template was compiled for.
+            demand = template.demand = estimate_demand(
+                work.app, self.runtime.datacenter)
+        order = self.router.order(demand)
+        first_rejection = None
+        for hops, cell_id in enumerate(order):
+            try:
+                submission = work.submit_to(self.cell_runtimes[cell_id],
+                                            template)
+                break
+            except SchedulerError as exc:
+                # Keep the attempt and reason, not the exception: its
+                # traceback holds this frame, a cycle only the garbage
+                # collector would free.
+                if first_rejection is None:
+                    first_rejection = (exc.submission, str(exc))
         else:
-            submission = self._dispatch_routed(work, template)
+            hops, cell_id = len(order), order[0]
+            submission = self.cell_runtimes[cell_id].park(*first_rejection)
+        handle.cell = cell_id
+        self.router.record_placement(cell_id, hops)
         handle.submission = submission
         labels = {"tenant": handle.tenant}
         if submission.status == "queued":
@@ -563,7 +555,7 @@ class UDCService:
         itself — and if the victims run out, the firm submission simply
         stays parked like any other queued work.
         """
-        cell = handle.cell if handle.cell is not None else 0
+        cell = handle.cell
         runtime = self.cell_runtimes[cell]
         victims = sorted(
             (
@@ -572,7 +564,7 @@ class UDCService:
                 and h.submission is not None
                 and h.submission.status == "running"
                 and not h.submission.persistent
-                and (h.cell if h.cell is not None else 0) == cell
+                and h.cell == cell
                 and self.tier_of(h.tenant) == "spot"
             ),
             key=lambda h: -h.seq,
@@ -587,39 +579,6 @@ class UDCService:
             runtime._retry_admissions()
             if submission.status != "queued":
                 return
-
-    def _dispatch_routed(self, work: "_PendingWork",
-                         template: AppTemplate) -> Submission:
-        """Sharded dispatch: route by coarse demand, spill on rejection.
-
-        Cells are tried in router order with ``queue_if_full=False``; a
-        cell that cannot place the app raises, rolls its partial
-        placement back, and the next cell is tried (the spill).  Only
-        when *every* cell rejected does the submission park — on the
-        first-choice cell's admission queue, where freed capacity
-        retries it.
-        """
-        handle = work.handle
-        demand = template.demand
-        if demand is None:
-            # Once per template: everything the estimate reads is in the
-            # shape the template was compiled for.
-            demand = template.demand = estimate_demand(
-                work.app, self.runtime.datacenter)
-        order = self.router.order(demand)
-        for hops, cell_id in enumerate(order):
-            try:
-                submission = work.submit_to(self.cell_runtimes[cell_id],
-                                            template, queue_if_full=False)
-            except SchedulerError:
-                continue
-            handle.cell = cell_id
-            self.router.record_placement(cell_id, hops)
-            return submission
-        handle.cell = order[0]
-        self.router.record_placement(order[0], len(order))
-        return work.submit_to(self.cell_runtimes[order[0]], template,
-                              queue_if_full=True)
 
     def dispatch_round(self) -> int:
         """Flush buffered submissions as one scheduling round.
@@ -752,8 +711,7 @@ class UDCService:
                 still_open.append(handle)
                 continue
             if submission.result is None:
-                cell = handle.cell if handle.cell is not None else 0
-                self.cell_runtimes[cell].collect(submission)
+                self.cell_runtimes[handle.cell].collect(submission)
             self._finalize(handle)
             finished.append(handle)
         self._open = still_open
@@ -857,7 +815,7 @@ class UDCService:
         free-capacity vectors.
         """
         registry = self.runtime.metrics_snapshot()
-        if self.router is None:
+        if self.cells == 1:
             return registry
         totals: Dict[tuple, Dict[str, float]] = {}
         for cell_runtime in self.cell_runtimes[1:]:
@@ -964,10 +922,9 @@ class _PendingWork:
     key: SubmissionKey
     options: SubmitOptions = field(default_factory=SubmitOptions)
 
-    def submit_to(self, runtime: UDCRuntime, template: AppTemplate,
-                  queue_if_full: bool) -> Submission:
+    def submit_to(self, runtime: UDCRuntime,
+                  template: AppTemplate) -> Submission:
         return runtime.submit(
             self.app, tenant=self.handle.tenant, inputs=self.inputs,
-            persistent=template.persistent, queue_if_full=queue_if_full,
-            template=template,
+            persistent=template.persistent, template=template,
         )

@@ -164,6 +164,49 @@ def test_cross_cell_spill_lands_in_overflow_cell():
     assert gpu0.total_used == 17.0
 
 
+def test_full_rejection_tries_each_cell_once_and_parks_first_choice():
+    """Both cells reject: each sees exactly one placement attempt, and
+    the first choice's rolled-back attempt parks there unplaced."""
+    service = UDCService(_fresh_dc(), cells=2)
+    fillers = {}
+    for cell_id, cell_runtime in enumerate(service.cell_runtimes):
+        gpus = cell_runtime.datacenter.pool(DeviceType.GPU)
+        # 15 of 32 gpus free in each cell: neither hosts a 16-gpu job.
+        fillers[cell_id] = [gpus.allocate(amount, "filler")
+                            for amount in (8.0, 8.0, 1.0)]
+    dram1 = service.cell_runtimes[1].datacenter.pool(DeviceType.DRAM)
+    dram1.allocate(512.0, "filler")
+    attempts = {0: 0, 1: 0}
+    for cell_id, cell_runtime in enumerate(service.cell_runtimes):
+        scheduler = cell_runtime.scheduler
+
+        def counted(*args, _place=scheduler.place_tasks, _cell=cell_id,
+                    **kwargs):
+            attempts[_cell] += 1
+            return _place(*args, **kwargs)
+
+        scheduler.place_tasks = counted
+    app, definition = spill_job(gpus=16, dram_gb=64.0)
+    first_choice = service.router.order(estimate_demand(
+        app, service.cell_runtimes[0].datacenter))[0]
+    handle = service.submit("tenant", app, definition)
+    service.dispatch_round()
+    assert attempts == {0: 1, 1: 1}
+    assert handle.cell == first_choice
+    assert handle.status == "queued"
+    assert service.router.spills == 1
+    # Free one gpu in the first choice: the parked attempt places there.
+    runtime = service.cell_runtimes[first_choice]
+    runtime.datacenter.pool(DeviceType.GPU).release(
+        fillers[first_choice][-1])
+    runtime._schedule_admission_retry()
+    service.drain()
+    assert handle.status == "done"
+    assert handle.cell == first_choice
+    assert attempts[first_choice] == 2
+    assert attempts[1 - first_choice] == 1
+
+
 def test_cross_cell_spill_is_deterministic():
     traces = []
     for _ in range(2):
@@ -228,11 +271,19 @@ def test_metrics_snapshot_aggregates_across_cells():
 
 
 def test_unsharded_metrics_carry_no_cell_label():
-    service = UDCService(_fresh_dc())
+    from repro.core.telemetry import Telemetry
+
+    service = UDCService(_fresh_dc(), telemetry=Telemetry(enabled=True))
+    app, definition = spill_job(gpus=8, dram_gb=64.0)
+    handle = service.submit("tenant", app, definition)
     service.drain()
+    assert handle.status == "done"
     rendered = service.metrics_snapshot().render_prometheus()
+    assert "udc_placements_total" in rendered
     assert "cell=" not in rendered
     assert "udc_service_cells" not in rendered
+    assert "udc_router_" not in rendered
+    assert "udc_cell_" not in rendered
 
 
 def test_router_telemetry_counts_spills():
