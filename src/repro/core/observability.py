@@ -19,6 +19,8 @@ primitives (PAPERS.md: Dapper; Monarch):
   re-scan) and renderable as a text exposition snapshot
   (:meth:`MetricsRegistry.render_prometheus`) or JSON
   (:meth:`MetricsRegistry.to_dict`), surfaced by ``udc metrics``.
+  :meth:`MetricsRegistry.capture` keeps the registry as it stands in
+  O(1), for each run result, and renders it only when read.
 
 Both are owned by :class:`~repro.core.telemetry.Telemetry`, which keeps
 the PR 2 guarantee: with ``enabled=False`` every span/metric call is a
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -37,6 +40,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MetricsCapture",
     "MetricsRegistry",
     "NULL_SPAN",
     "Span",
@@ -229,39 +233,46 @@ def _label_key(labels: Optional[Dict[str, str]]) -> LabelKey:
 
 
 class _Instrument:
-    """Base of the instrument kinds.  Caches the instrument's rendered
-    :meth:`MetricsRegistry.to_dict` entry; the first mutation after a
-    rendering drops it and queues the instrument on its family's stale
-    list, so the family's next rendering replaces just that entry
-    (instruments built outside a registry have no family)."""
+    """Base of the instrument kinds.  Versioned: the first mutation after
+    a :meth:`MetricsRegistry.capture` appends the old state to the
+    instrument's own history, so every capture can still read the state
+    it saw (see :meth:`_state_at`)."""
 
-    __slots__ = ("_family", "_labels", "_entry", "_index")
+    __slots__ = ("_registry", "_born", "_epoch", "_epochs", "_states")
 
-    def __init__(self, family: Optional[_Family] = None,
-                 key: LabelKey = ()):
-        self._family = family
-        #: shared by every rendering of this instrument
-        self._labels = dict(key)
-        self._entry: Optional[Dict[str, object]] = None
-        #: position in the family's rendered ``values`` list
-        self._index = -1
+    def __init__(self, registry: MetricsRegistry):
+        self._registry = registry
+        #: registry epoch at creation (captures before it do not show
+        #: the instrument) and at the last mutation
+        self._born = self._epoch = registry._epoch
+        #: the history, oldest first: each saved state, with the epoch
+        #: whose first mutation saved it (captures with an earlier epoch
+        #: saw it).  The epoch is the registry's own int, shared by
+        #: every instrument saving in that epoch.
+        self._epochs: List[int] = []
+        self._states: List[object] = []
 
-    def _changed(self) -> None:
-        if self._entry is not None:
-            self._entry = None
-            family = self._family
-            if family is not None:
-                family.stale.append(self)
+    def _save(self) -> None:
+        """Keep the current state for the captures taken since the last
+        mutation; called before every mutation, O(1)."""
+        epoch = self._registry._epoch
+        if self._epoch != epoch:
+            self._epochs.append(epoch)
+            self._states.append(self._state())
+            self._epoch = epoch
 
-    def entry(self) -> Dict[str, object]:
-        """This instrument's JSON entry, shared, read-only, by every
-        snapshot until the next mutation."""
-        if self._entry is None:
-            self._entry = {"labels": self._labels, **self._fields()}
-        return self._entry
+    def _state_at(self, epoch: int):
+        """The state capture ``epoch`` saw (the instrument is born at or
+        before it)."""
+        if epoch >= self._epoch:
+            return self._state()
+        return self._states[bisect_right(self._epochs, epoch)]
 
-    def _fields(self) -> Dict[str, object]:
-        return {"value": self.value}
+    def _state(self):
+        return self.value
+
+    def _fields(self, state) -> Dict[str, object]:
+        return {"value": state}
 
 
 class Counter(_Instrument):
@@ -269,16 +280,15 @@ class Counter(_Instrument):
 
     __slots__ = ("value",)
 
-    def __init__(self, family: Optional[_Family] = None,
-                 key: LabelKey = ()):
-        super().__init__(family, key)
+    def __init__(self, registry: MetricsRegistry):
+        super().__init__(registry)
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
+        self._save()
         self.value += amount
-        self._changed()
 
 
 class Gauge(_Instrument):
@@ -286,30 +296,29 @@ class Gauge(_Instrument):
 
     __slots__ = ("value",)
 
-    def __init__(self, family: Optional[_Family] = None,
-                 key: LabelKey = ()):
-        super().__init__(family, key)
+    def __init__(self, registry: MetricsRegistry):
+        super().__init__(registry)
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        # Only a set that leaves the value bit-identical (same type,
-        # equal, same sign) keeps the cached rendering.  Equality alone
-        # would not do: -0.0 == 0.0 renders differently, and a NaN is
-        # never equal, so it always re-renders.
+        # A set that leaves the value bit-identical (same type, equal,
+        # same sign) is not a mutation and keeps no history.  Equality
+        # alone would not do: -0.0 == 0.0 renders differently, and a NaN
+        # is never equal, so it always counts.
         old = self.value
         if type(value) is type(old) and value == old and (
                 value or math.copysign(1.0, value) == math.copysign(1.0, old)):
             return
+        self._save()
         self.value = value
-        self._changed()
 
     def inc(self, amount: float = 1.0) -> None:
+        self._save()
         self.value += amount
-        self._changed()
 
     def dec(self, amount: float = 1.0) -> None:
+        self._save()
         self.value -= amount
-        self._changed()
 
 
 class Histogram(_Instrument):
@@ -321,29 +330,33 @@ class Histogram(_Instrument):
 
     __slots__ = ("buckets", "bucket_counts", "sum", "count")
 
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-                 family: Optional[_Family] = None, key: LabelKey = ()):
-        super().__init__(family, key)
+    def __init__(self, registry: MetricsRegistry,
+                 buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
+        super().__init__(registry)
         self.buckets = tuple(sorted(buckets))
         self.bucket_counts = [0] * len(self.buckets)
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
+        self._save()
         self.sum += value
         self.count += 1
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 self.bucket_counts[i] += 1
-        self._changed()
 
-    def _fields(self) -> Dict[str, object]:
+    def _state(self):
+        return (self.sum, self.count, *self.bucket_counts)
+
+    def _fields(self, state) -> Dict[str, object]:
+        total, count, *bucket_counts = state
         buckets: Dict[str, object] = {
-            f"{bound:g}": count
-            for bound, count in zip(self.buckets, self.bucket_counts)
+            f"{bound:g}": bucket
+            for bound, bucket in zip(self.buckets, bucket_counts)
         }
-        buckets["+Inf"] = self.count
-        return {"buckets": buckets, "sum": self.sum, "count": self.count}
+        buckets["+Inf"] = count
+        return {"buckets": buckets, "sum": total, "count": count}
 
     def quantile(self, q: float) -> float:
         """Estimated q-quantile from the cumulative buckets (upper bound)."""
@@ -365,41 +378,29 @@ class _Family:
     name: str
     kind: str  # "counter" | "gauge" | "histogram"
     help: str
+    #: registry epoch at creation: captures before it do not show it
+    born: int
     buckets: Tuple[float, ...] = DEFAULT_BUCKETS
-    instruments: Dict[LabelKey, object] = field(default_factory=dict)
-    #: the family's :meth:`MetricsRegistry.to_dict` entry, cached until
-    #: a new instrument joins (then None: the label order changes)
-    rendered: Optional[Dict[str, object]] = field(default=None, repr=False)
-    #: instruments mutated since ``rendered`` was built, each queued once
-    stale: List[_Instrument] = field(default_factory=list, repr=False)
+    instruments: Dict[LabelKey, _Instrument] = field(default_factory=dict)
 
-    def add(self, key: LabelKey, instrument: _Instrument) -> _Instrument:
-        self.instruments[key] = instrument
-        self.rendered = None
-        return instrument
 
-    def render(self) -> Dict[str, object]:
-        """The family's JSON entry, shared, read-only, by every snapshot
-        until the next change.  After mutations it is a fresh dict whose
-        ``values`` list copies the previous one and replaces only the
-        stale instruments' entries; a new instrument rebuilds it in
-        label-key order."""
-        if self.rendered is None:
-            ordered = [self.instruments[key]
-                       for key in sorted(self.instruments)]
-            for index, instrument in enumerate(ordered):
-                instrument._index = index
-            values = [instrument.entry() for instrument in ordered]
-        elif self.stale:
-            values = list(self.rendered["values"])
-            for instrument in self.stale:
-                values[instrument._index] = instrument.entry()
-        else:
-            return self.rendered
-        self.stale.clear()
-        self.rendered = {"type": self.kind, "help": self.help,
-                         "values": values}
-        return self.rendered
+class MetricsCapture:
+    """The registry as it stood at one :meth:`MetricsRegistry.capture`.
+
+    Taking one is O(1); :meth:`to_dict` renders it on read, from the
+    instruments' current state and their histories.
+    """
+
+    __slots__ = ("registry", "epoch")
+
+    def __init__(self, registry: MetricsRegistry, epoch: int):
+        self.registry = registry
+        self.epoch = epoch
+
+    def to_dict(self) -> Dict[str, object]:
+        """What :meth:`MetricsRegistry.to_dict` returned at capture time
+        (wall-clock families left out)."""
+        return self.registry._render(self.epoch, False)
 
 
 class MetricsRegistry:
@@ -412,6 +413,8 @@ class MetricsRegistry:
 
     def __init__(self):
         self._families: Dict[str, _Family] = {}
+        #: captures taken so far; mutations happen in this epoch
+        self._epoch = 0
 
     def _family(self, name: str, kind: str, help_text: str = "",
                 buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> _Family:
@@ -420,7 +423,7 @@ class MetricsRegistry:
             family = _Family(
                 name=name, kind=kind,
                 help=help_text or METRIC_HELP.get(name, ""),
-                buckets=buckets,
+                born=self._epoch, buckets=buckets,
             )
             self._families[name] = family
         elif family.kind != kind:
@@ -431,20 +434,20 @@ class MetricsRegistry:
 
     def counter(self, name: str, labels: Optional[Dict[str, str]] = None,
                 help: str = "") -> Counter:
-        family = self._family(name, "counter", help)
+        instruments = self._family(name, "counter", help).instruments
         key = _label_key(labels)
-        instrument = family.instruments.get(key)
+        instrument = instruments.get(key)
         if instrument is None:
-            instrument = family.add(key, Counter(family, key))
+            instrument = instruments[key] = Counter(self)
         return instrument
 
     def gauge(self, name: str, labels: Optional[Dict[str, str]] = None,
               help: str = "") -> Gauge:
-        family = self._family(name, "gauge", help)
+        instruments = self._family(name, "gauge", help).instruments
         key = _label_key(labels)
-        instrument = family.instruments.get(key)
+        instrument = instruments.get(key)
         if instrument is None:
-            instrument = family.add(key, Gauge(family, key))
+            instrument = instruments[key] = Gauge(self)
         return instrument
 
     def histogram(self, name: str, labels: Optional[Dict[str, str]] = None,
@@ -454,9 +457,21 @@ class MetricsRegistry:
         key = _label_key(labels)
         instrument = family.instruments.get(key)
         if instrument is None:
-            instrument = family.add(
-                key, Histogram(family.buckets, family, key))
+            instrument = family.instruments[key] = Histogram(
+                self, family.buckets)
         return instrument
+
+    def capture(self) -> MetricsCapture:
+        """Capture the registry as it stands, in O(1).
+
+        The capture renders on read (:meth:`MetricsCapture.to_dict`)
+        exactly what :meth:`to_dict` returns now.  It bumps the epoch,
+        so the next mutation of each instrument first saves the state
+        this capture saw.
+        """
+        capture = MetricsCapture(self, self._epoch)
+        self._epoch += 1
+        return capture
 
     # -- reads ---------------------------------------------------------------
 
@@ -525,20 +540,38 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_dict(self, include_wall_clock: bool = False) -> Dict[str, object]:
-        """JSON-serializable snapshot, keyed by metric name.
+        """JSON-serializable snapshot, keyed by metric name: the values at
+        call time, in fresh dicts.
 
-        The outer dict is fresh on every call and holds the values at
-        call time.  The per-family dicts inside it are shared with
-        earlier and later snapshots until that family changes, so they
-        are read-only, and a snapshot re-renders only the families that
-        changed since the last one.
+        It renders through the capture path at the live epoch but takes
+        no capture: nothing holds on to it, so the next mutations need
+        not save the state it read.
 
         Wall-clock families (:data:`WALL_CLOCK_METRICS`) are skipped
         unless ``include_wall_clock`` — they vary run to run and would
         break byte-identical report reproducibility.
         """
-        return {
-            family.name: family.render()
-            for family in self.families()
-            if include_wall_clock or family.name not in WALL_CLOCK_METRICS
-        }
+        return self._render(self._epoch, include_wall_clock)
+
+    def _render(self, epoch: int,
+                include_wall_clock: bool) -> Dict[str, object]:
+        """The registry as capture ``epoch`` saw it: families and label
+        sets in sorted order, those born after it left out."""
+        snapshot: Dict[str, object] = {}
+        for family in self.families():
+            if family.born > epoch or (
+                    not include_wall_clock
+                    and family.name in WALL_CLOCK_METRICS):
+                continue
+            instruments = family.instruments
+            values = []
+            for key in sorted(instruments):
+                instrument = instruments[key]
+                if instrument._born <= epoch:
+                    values.append({
+                        "labels": dict(key),
+                        **instrument._fields(instrument._state_at(epoch)),
+                    })
+            snapshot[family.name] = {"type": family.kind,
+                                     "help": family.help, "values": values}
+        return snapshot

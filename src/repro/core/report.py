@@ -12,6 +12,7 @@ from typing import Dict, List, Optional
 
 from repro.core.conflicts import ConflictResolution
 from repro.core.objects import UDCObject
+from repro.core.observability import MetricsCapture
 from repro.core.telemetry import Telemetry
 from repro.core.verify import FulfillmentRecord
 
@@ -63,11 +64,26 @@ class RunResult:
     fabric_bytes: int = 0
     warm_hits: int = 0
     warm_misses: int = 0
-    #: MetricsRegistry.to_dict() snapshot: the values at collection
-    #: time (None when the run executed with telemetry disabled).  Its
-    #: per-family dicts are shared with other results' snapshots, so
-    #: they are read-only
-    metrics: Optional[Dict] = None
+    #: the metrics registry captured at collection, O(1) to take (None
+    #: when the run executed with telemetry disabled); read it rendered
+    #: through :attr:`metrics`
+    metrics_capture: Optional[MetricsCapture] = None
+    _metrics: Optional[Dict] = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    @property
+    def metrics(self) -> Optional[Dict]:
+        """``MetricsRegistry.to_dict()`` as it read at collection time,
+        rendered from :attr:`metrics_capture` on first read and kept
+        (None when the run executed with telemetry disabled).
+
+        It holds the whole service-wide registry, every tenant's
+        labelled series included, so it must not be served to a tenant
+        as it is.
+        """
+        if self._metrics is None and self.metrics_capture is not None:
+            self._metrics = self.metrics_capture.to_dict()
+        return self._metrics
 
     def row(self, name: str) -> ModuleRow:
         for row in self.rows:

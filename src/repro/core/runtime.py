@@ -1764,7 +1764,7 @@ class UDCRuntime:
             warm_misses=self.warm_pool.stats.misses,
         )
         if self.telemetry.enabled:
-            result.metrics = self.metrics_snapshot().to_dict()
+            result.metrics_capture = self.metrics_snapshot().capture()
         total_cost = submission.settled_cost
         # Persistent submissions still have live meters: report the bill
         # accrued so far (decommission finalizes it).

@@ -57,10 +57,13 @@ __all__ = [
 #: bundle manager no longer lists every unit it built; 5: submissions
 #: carry their compiled AppTemplate instead of definition and key, the
 #: admission memo holds templates and views, key parts are text, and
-#: runtimes index their open and store-holding submissions), so a
-#: snapshot written by another build is skipped on resume instead of
+#: runtimes index their open and store-holding submissions; 6: metric
+#: instruments keep versioned histories instead of rendered entries,
+#: families record their birth epoch, telemetry caches its instruments,
+#: and results hold a registry capture instead of a rendered dict), so
+#: a snapshot written by another build is skipped on resume instead of
 #: restored into objects it does not fit.
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 _FORMAT = "udc-snapshot"
 
 

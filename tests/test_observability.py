@@ -8,13 +8,14 @@ prewarm during an outage, utilization epsilon clamp), the `udc trace` /
 medical pipeline with one retried module (A4) and one hedged module (B2).
 """
 
+import gc
 import json
 import math
 import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.appmodel.ir import compile_dag
 from repro.cli import main
@@ -323,6 +324,7 @@ def test_earlier_snapshot_unchanged_by_later_activity():
     registry.gauge("idle", {"k": "a"})
     first = registry.to_dict()
     first_bytes = json.dumps(first)
+    capture = registry.capture()
 
     registry.counter("c", {"k": "a"}).inc(2.0)
     registry.counter("c", {"k": "b"}).inc()     # new instrument
@@ -337,10 +339,12 @@ def test_earlier_snapshot_unchanged_by_later_activity():
     assert json.dumps(first) == first_bytes
     assert second is not first
     assert json.dumps(second) == json.dumps(_eager_render(registry))
-    # Copy-on-write: an untouched family's dict is shared, a touched
-    # family's is a new one.
-    assert second["still"] is first["still"]
-    assert second["c"] is not first["c"]
+    # A capture taken with the first snapshot still renders it.
+    assert json.dumps(capture.to_dict()) == first_bytes
+    # Versioned: an untouched instrument saves no history, a touched
+    # one saves the state the capture saw, once.
+    assert registry.counter("still")._states == []
+    assert registry.counter("c", {"k": "a"})._states == [1.0]
     assert second["c"]["values"][1]["value"] == 1.0
 
 
@@ -386,40 +390,105 @@ def test_to_dict_equals_scratch_render_and_keeps_earlier_snapshots(ops):
         assert json.dumps(snapshot) == rendered
 
 
+_CAPTURE_NAMES = ("c", "g", "h", "late_c", "late_g", "late_h")
+_capture_op = st.tuples(
+    st.sampled_from(("update", "update", "adjust", "touch", "capture",
+                     "to_dict")),
+    st.sampled_from(_CAPTURE_NAMES),
+    st.sampled_from(("", "a")),
+    st.sampled_from((0.0, -0.0, 1.0, 2.5, 1, float("nan"), 7.0)),
+)
+
+
+@given(ops=st.lists(_capture_op, max_size=80))
+# One instrument updated between three captures: the middle capture
+# reads a saved state, not the first or the live one.
+@example(ops=[("update", "c", "", 1.0), ("capture", "c", "", 0.0),
+              ("update", "c", "", 1.0), ("capture", "c", "", 0.0),
+              ("update", "c", "", 1.0)])
+@settings(max_examples=200, deadline=None)
+def test_captures_render_what_an_eager_render_read_at_capture(ops):
+    """Property: under any interleaving of mutations, families and label
+    sets born after a capture (a "touch" creates one without updating
+    it), other captures and live to_dict() reads, every capture renders
+    exactly what an eager render read when it was taken."""
+    registry = MetricsRegistry()
+    taken = []
+    for action, name, label, amount in ops:
+        labels = {"k": label} if label else None
+        kind = _KINDS[name[-1]]
+        if action == "capture":
+            taken.append((registry.capture(),
+                          json.dumps(_eager_render(registry))))
+        elif action == "to_dict":
+            assert (json.dumps(registry.to_dict())
+                    == json.dumps(_eager_render(registry)))
+        elif kind == "gauge":
+            gauge = registry.gauge(name, labels)
+            if action == "update":
+                gauge.set(amount)
+            elif action == "adjust":
+                gauge.dec(amount)
+        else:
+            instrument = (registry.counter(name, labels) if kind == "counter"
+                          else registry.histogram(name, labels))
+            if action != "touch" and amount == amount:
+                if kind == "counter":
+                    instrument.inc(abs(amount))
+                else:
+                    instrument.observe(abs(amount))
+    for capture, rendered in taken:
+        assert json.dumps(capture.to_dict()) == rendered
+
+
 def test_rerender_replaces_only_changed_entries():
-    """A family re-rendered after one label's update reuses every other
-    entry object and leaves the earlier values list untouched."""
+    """A family re-rendered after one label's update changes only that
+    entry, leaves the earlier rendering untouched, and only the updated
+    instrument saves history for the capture before it."""
     registry = MetricsRegistry()
     for tenant in range(8):
         registry.counter("per_tenant", {"tenant": f"t{tenant}"}).inc()
+    capture = registry.capture()
     first = registry.to_dict()["per_tenant"]
     registry.counter("per_tenant", {"tenant": "t3"}).inc()
     second = registry.to_dict()["per_tenant"]
     assert second is not first
     assert [entry["value"] for entry in first["values"]] == [1.0] * 8
     assert second["values"][3]["value"] == 2.0
-    assert all(second["values"][i] is first["values"][i]
+    assert all(second["values"][i] == first["values"][i]
                for i in range(8) if i != 3)
+    assert capture.to_dict()["per_tenant"] == first
+    histories = [registry.counter("per_tenant", {"tenant": f"t{t}"})._states
+                 for t in range(8)]
+    assert histories == [[]] * 3 + [[1.0]] + [[]] * 4
 
 
 def test_gauge_signed_zero_and_nan_render_exactly():
     registry = MetricsRegistry()
     gauge = registry.gauge("g")
     rendered = []
+    captures = []
     for value in (-0.0, 0.0, float("nan"), float("nan"), -0.0):
         gauge.set(value)
         rendered.append(
             json.dumps(registry.to_dict()["g"]["values"][0]["value"]))
+        captures.append(registry.capture())
     assert rendered == ["-0.0", "0.0", "NaN", "NaN", "-0.0"]
-    # Only a bit-identical set keeps the cached rendering.
+    # Each capture's history entry keeps the exact value it saw.
+    assert [json.dumps(capture.to_dict()["g"]["values"][0]["value"])
+            for capture in captures] == rendered
+    # Only a set that is not bit-identical saves history.
     gauge.set(0.5)
-    before = registry.to_dict()["g"]
+    registry.capture()
+    saved = len(gauge._states)
     gauge.set(0.5)
-    assert registry.to_dict()["g"] is before
+    assert len(gauge._states) == saved
     gauge.set(1.0)
-    registry.to_dict()
+    assert len(gauge._states) == saved + 1
+    one = registry.capture()
     gauge.set(1)                           # equal, but renders as 1
     assert json.dumps(registry.to_dict()["g"]["values"][0]["value"]) == "1"
+    assert json.dumps(one.to_dict()["g"]["values"][0]["value"]) == "1.0"
 
 
 def test_mean_utilization_equals_resum_bit_for_bit():
@@ -451,16 +520,15 @@ def test_service_run_metrics_equal_eager_render_at_collection(monkeypatch):
     """Every RunResult.metrics of a multi-round, multi-tenant run holds
     exactly what a from-scratch render read when it was collected, and
     still does after the rest of the run."""
-    references = []
-    cached_to_dict = MetricsRegistry.to_dict
+    expected = {}
+    capture = MetricsRegistry.capture
 
-    def recording(self, include_wall_clock=False):
-        snapshot = cached_to_dict(self, include_wall_clock)
-        references.append(
-            (snapshot, json.dumps(_eager_render(self, include_wall_clock))))
-        return snapshot
+    def recording(self):
+        taken = capture(self)
+        expected[taken] = json.dumps(_eager_render(self))
+        return taken
 
-    monkeypatch.setattr(MetricsRegistry, "to_dict", recording)
+    monkeypatch.setattr(MetricsRegistry, "capture", recording)
     service = UDCService(build_datacenter(SPEC), telemetry=Telemetry())
     profiles = default_tenant_profiles(count=6, seed=1)
     for profile in profiles:
@@ -475,18 +543,78 @@ def test_service_run_metrics_equal_eager_render_at_collection(monkeypatch):
             service.drain()
     service.drain()
 
-    expected = {id(snapshot): rendered for snapshot, rendered in references}
     results = [handle.result for handle in service.handles
                if not handle.cached and handle.result is not None]
     assert len(results) >= 10
     tenants = {result.tenant for result in results}
     assert len(tenants) >= 3
     for result in results:
-        assert json.dumps(result.metrics) == expected[id(result.metrics)]
-    # Consecutive results share the families that did not change.
-    first, second = results[0].metrics, results[1].metrics
-    assert any(first[name] is second[name]
-               for name in first if name in second)
+        assert json.dumps(result.metrics) == expected[result.metrics_capture]
+    # Consecutive results differ: each one read the registry at its own
+    # collection.
+    assert results[0].metrics != results[-1].metrics
+
+
+def _serve_trace(tenants=6, horizon_s=600.0):
+    service = UDCService(build_datacenter(SPEC), telemetry=Telemetry())
+    profiles = default_tenant_profiles(count=tenants, seed=1)
+    for profile in profiles:
+        service.register_tenant(profile.name,
+                                TenantSpec(weight=profile.weight))
+    trace = generate_tenant_trace(profiles, peak_rate_per_minute=3.0,
+                                  horizon_s=horizon_s, seed=4)
+    for index, arrival in enumerate(trace.submissions, start=1):
+        service.submit(arrival.tenant, arrival.dag, arrival.definition,
+                       inputs=arrival.inputs)
+        if index % 4 == 0:
+            service.drain()
+    service.drain()
+    return service
+
+
+def _tracked_after(run):
+    """Tracked objects alive after ``run()``, with its result held."""
+    kept = run()
+    for _ in range(3):   # untracks atom-only tuples, nested ones too
+        gc.collect()
+    count = len(gc.get_objects())
+    del kept
+    return count
+
+
+def test_unread_run_metrics_render_nothing_and_retain_little(monkeypatch):
+    """Collecting a result's metrics is O(1): a telemetry-on run that
+    never reads ``result.metrics`` renders no entry, and its captures
+    (with the history they make instruments keep) retain at most 5
+    tracked objects per finalized result."""
+    renders = []
+    render = MetricsRegistry._render
+
+    def counting(self, epoch, include_wall_clock):
+        renders.append(epoch)
+        return render(self, epoch, include_wall_clock)
+
+    monkeypatch.setattr(MetricsRegistry, "_render", counting)
+    _serve_trace()                         # warm imports and caches
+    service = None
+
+    def captured():
+        nonlocal service
+        service = _serve_trace()
+        return service
+
+    with_captures = _tracked_after(captured)
+    assert renders == []
+    results = [handle.result for handle in service.handles
+               if handle.result is not None and not handle.cached]
+    assert len(results) >= 10
+    assert all(result.metrics_capture is not None for result in results)
+    assert all(result._metrics is None for result in results)
+    service = None
+
+    monkeypatch.setattr(MetricsRegistry, "capture", lambda self: None)
+    without_captures = _tracked_after(_serve_trace)
+    assert (with_captures - without_captures) / len(results) <= 5
 
 
 def test_breaker_trips_feed_the_registry():

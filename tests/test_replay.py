@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.replay import (
+    SNAPSHOT_VERSION,
     JournalError,
     JournalEvent,
     JournalWriter,
@@ -114,6 +115,46 @@ def test_snapshot_round_trip(tmp_path):
     assert eid == 7
     # The restored service answers the same canonical report bytes.
     assert runner.report_bytes(restored) == runner.report_bytes(service)
+
+
+def test_snapshot_round_trips_captured_run_metrics(tmp_path):
+    """A result pickled with only its registry capture (never read)
+    restores rendering exactly what the original renders, and later
+    activity on the restored registry does not change it."""
+    _runner, service, _journal = record_baseline(FIG2, tmp_path)
+    results = [handle.result for handle in service.handles
+               if handle.result is not None and not handle.cached]
+    assert len(results) >= 2
+    assert all(result._metrics is None for result in results)
+    path = snapshot_path(str(tmp_path), 9)
+    save_snapshot(path, service, 9)
+    _eid, restored = load_snapshot(path)
+    restored_results = [handle.result for handle in restored.handles
+                        if handle.result is not None and not handle.cached]
+    expected = [json.dumps(result.metrics) for result in results]
+    registry = restored.runtime.telemetry.metrics
+    assert all(result.metrics_capture.registry is registry
+               for result in restored_results)
+    registry.counter("udc_retries_total").inc()
+    registry.counter("udc_added_after_restore_total").inc()
+    assert [json.dumps(result.metrics)
+            for result in restored_results] == expected
+
+
+def test_snapshot_from_another_version_is_refused(tmp_path):
+    _runner, service, _journal = record_baseline(FIG2, tmp_path)
+    path = snapshot_path(str(tmp_path), 4)
+    save_snapshot(path, service, 4)
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        payload = fh.read()
+    header["version"] = SNAPSHOT_VERSION - 1
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    with pytest.raises(SnapshotError,
+                       match=f"version {SNAPSHOT_VERSION - 1}; this loader "
+                             f"supports {SNAPSHOT_VERSION}"):
+        load_snapshot(path)
 
 
 def test_snapshot_refuses_non_quiescent():
